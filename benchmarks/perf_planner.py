@@ -1,27 +1,25 @@
-"""A/B/C measurement of the planner search kernel and the plan cache.
+"""A/B measurement of the planner search kernel and the plan cache.
 
 Runs the DAPPLE §IV-C search on a large problem — BERT-48 on Config B
-(16 GPUs, the paper's hierarchical-interconnect cluster) — through three
+(16 GPUs, the paper's hierarchical-interconnect cluster) — through two
 arms that are required to be **bit-identical**:
 
-* ``scalar``      — the reference ``evaluate_plan``-per-candidate loop
-  (``use_fast_scan=False``), kept as the correctness oracle.
-* ``per_state``   — the vectorized ``CompletionScanner`` called once per
-  frontier state (``level_batch=False``), the previous fast path.
-* ``level``       — the level-batched kernel (default): one padded scan
-  per frontier generation, with allocation rows and per-row coefficient
-  bundles memoized across states and levels.
+* ``scalar`` — the reference ``evaluate_plan``-per-candidate loop
+  (:class:`repro.check.ScalarPlanner`), kept as the correctness oracle.
+* ``level``  — the production search: one padded ``scan_level`` kernel
+  call per frontier generation, with allocation rows and per-row
+  coefficient bundles memoized across states and levels.
 
-plus a fourth arm measuring the content-addressed plan cache:
+plus a third arm measuring the content-addressed plan cache:
 
-* ``cache_hit``   — ``plan_best`` against a warm in-memory
+* ``cache_hit`` — ``plan_best`` against a warm in-memory
   :class:`~repro.core.plancache.PlanCache` tier.
 
-Headline targets: ``level`` at least 3x faster than ``per_state`` on this
-config, and a warm cache hit in at most 5 ms (vs a few hundred ms of
-search).  A second problem (GNMT-16 on Config C) is measured on the fast
-arms as a secondary data point.  Results go to ``results/perf_planner.txt``
-and, machine-readable, ``results/perf_planner.json`` (schema in
+Headline targets: ``level`` at least 40x faster than ``scalar`` on this
+config, and a warm cache hit in at most 5 ms (vs tens of ms of search).
+A second problem (GNMT-16 on Config C) is measured on the same arms as a
+secondary data point.  Results go to ``results/perf_planner.txt`` and,
+machine-readable, ``results/perf_planner.json`` (schema in
 :mod:`repro.perf.record`; nightly CI diffs it via
 ``benchmarks/check_regression.py``).
 """
@@ -32,6 +30,7 @@ import time
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
+from repro.check import ScalarPlanner, planner_diffs
 from repro.cluster import config_by_name
 from repro.core import Planner, PlannerConfig, profile_model
 from repro.core.plancache import PlanCache
@@ -42,7 +41,7 @@ from repro.perf.record import write_bench_json
 ROUNDS = 3
 HEADLINE = ("bert48", "B", 64)
 SECONDARY = ("gnmt16", "C", 64)
-SPEEDUP_TARGET = 3.0
+SPEEDUP_TARGET = 40.0
 CACHE_HIT_MS_TARGET = 5.0
 
 
@@ -57,82 +56,53 @@ def _best(fn, rounds=ROUNDS):
     return best, result
 
 
-def _identical(a, b):
-    return (
-        a.plan.notation == b.plan.notation
-        and a.plan.split_notation == b.plan.split_notation
-        and a.plan.num_micro_batches == b.plan.num_micro_batches
-        and a.estimate.latency == b.estimate.latency
-        and a.plans_evaluated == b.plans_evaluated
-        and a.infeasible_plans == b.infeasible_plans
-    )
-
-
-def _measure(model, config, gbs, with_scalar):
+def _measure(model, config, gbs):
     prof = profile_model(get_model(model))
     clu = config_by_name(config, 16)
-
-    cfgs = {
-        "level": PlannerConfig(),
-        "per_state": PlannerConfig(level_batch=False),
-    }
-    if with_scalar:
-        cfgs["scalar"] = PlannerConfig(use_fast_scan=False)
+    cfg = PlannerConfig()
 
     walls, results = {}, {}
-    for name, cfg in cfgs.items():
+    for name, planner_cls in (("level", Planner), ("scalar", ScalarPlanner)):
         walls[name], results[name] = _best(
-            lambda cfg=cfg: Planner(prof, clu, gbs, cfg).search()
+            lambda cls=planner_cls: cls(prof, clu, gbs, cfg).search()
         )
 
     cache = PlanCache()  # memory tier only: the warm-hit case
-    cache.store(prof, clu, gbs, cfgs["level"], results["level"])
+    cache.store(prof, clu, gbs, cfg, results["level"])
     walls["cache_hit"], results["cache_hit"] = _best(
-        lambda: plan_best(prof, clu, gbs, cfgs["level"], cache=cache)
+        lambda: plan_best(prof, clu, gbs, cfg, cache=cache)
     )
     assert cache.hits == ROUNDS and cache.misses == 0
 
     identical = all(
-        _identical(results["level"], results[name])
+        not planner_diffs(results["level"], results[name])
         for name in results if name != "level"
     )
-    return prof, walls, results, identical
+    return walls, results, identical
 
 
 def _section(title, walls, results, identical):
-    lines = [f"{title}\n"]
-    if "scalar" in walls:
-        lines.append(
-            f"  scalar evaluate_plan loop           : {walls['scalar'] * 1e3:9.1f} ms\n"
-        )
-    lines += [
-        f"  per-state vectorized scan           : {walls['per_state'] * 1e3:9.1f} ms\n",
-        f"  level-batched scan (default)        : {walls['level'] * 1e3:9.1f} ms\n",
-        f"  warm plan-cache hit                 : {walls['cache_hit'] * 1e3:9.2f} ms\n",
-        f"  level speedup over per-state        : "
-        f"{walls['per_state'] / walls['level']:9.2f} x\n",
-    ]
-    if "scalar" in walls:
-        lines.append(
-            f"  level speedup over scalar           : "
-            f"{walls['scalar'] / walls['level']:9.2f} x\n"
-        )
     r = results["level"]
-    lines += [
+    return [
+        f"{title}\n",
+        f"  scalar evaluate_plan loop (oracle)  : {walls['scalar'] * 1e3:9.1f} ms\n",
+        f"  level-batched scan                  : {walls['level'] * 1e3:9.1f} ms\n",
+        f"  warm plan-cache hit                 : {walls['cache_hit'] * 1e3:9.2f} ms\n",
+        f"  level speedup over scalar           : "
+        f"{walls['scalar'] / walls['level']:9.2f} x\n",
         f"  all arms bit-identical              : {identical}\n",
         f"  plan                                : {r.plan.notation} "
         f"({r.plan.split_notation}), latency {r.estimate.latency * 1e3:.2f} ms\n",
     ]
-    return lines
 
 
 def main():
     model, config, gbs = HEADLINE
-    _, walls, results, identical = _measure(model, config, gbs, with_scalar=True)
+    walls, results, identical = _measure(model, config, gbs)
     m2, c2, g2 = SECONDARY
-    _, walls2, results2, identical2 = _measure(m2, c2, g2, with_scalar=False)
+    walls2, results2, identical2 = _measure(m2, c2, g2)
 
-    speedup = walls["per_state"] / walls["level"]
+    speedup = walls["scalar"] / walls["level"]
     hit_ms = walls["cache_hit"] * 1e3
     ok = (
         identical
@@ -155,9 +125,9 @@ def main():
         ),
         "\n",
         f"{'OK' if ok else 'FAIL'}: level-batched search is {speedup:.2f}x "
-        f"the per-state path (target >= {SPEEDUP_TARGET:.1f}x), warm cache "
+        f"the scalar oracle (target >= {SPEEDUP_TARGET:.1f}x), warm cache "
         f"hit {hit_ms:.2f} ms (target <= {CACHE_HIT_MS_TARGET:.1f} ms), "
-        f"all arms bit-identical\n",
+        f"all arms bit-identical: {identical and identical2}\n",
     ]
     results_dir = pathlib.Path(__file__).resolve().parent.parent / "results"
     results_dir.mkdir(parents=True, exist_ok=True)
@@ -166,20 +136,14 @@ def main():
     sys.stdout.write("".join(lines))
     sys.stdout.write(f"\nwrote {out}\n")
 
-    entries = [
-        {"name": "scalar", "ms": walls["scalar"] * 1e3,
-         "speedup": walls["scalar"] / walls["scalar"]},
-        {"name": "per_state", "ms": walls["per_state"] * 1e3,
-         "speedup": walls["scalar"] / walls["per_state"]},
-        {"name": "level", "ms": walls["level"] * 1e3,
-         "speedup": walls["scalar"] / walls["level"]},
-        {"name": "cache_hit", "ms": hit_ms,
-         "speedup": walls["scalar"] / walls["cache_hit"]},
-        {"name": f"{m2}_{c2}_per_state", "ms": walls2["per_state"] * 1e3},
-        {"name": f"{m2}_{c2}_level", "ms": walls2["level"] * 1e3,
-         "speedup": walls2["per_state"] / walls2["level"]},
-        {"name": f"{m2}_{c2}_cache_hit", "ms": walls2["cache_hit"] * 1e3},
-    ]
+    entries = []
+    for prefix, w in (("", walls), (f"{m2}_{c2}_", walls2)):
+        for name in ("scalar", "level", "cache_hit"):
+            entries.append({
+                "name": prefix + name,
+                "ms": w[name] * 1e3,
+                "speedup": w["scalar"] / w[name],
+            })
     json_out = write_bench_json(
         results_dir / "perf_planner.json",
         "perf_planner",

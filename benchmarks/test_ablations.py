@@ -12,12 +12,12 @@ import pytest
 from repro.core import Planner, PlannerConfig, profile_model
 from repro.core.latency import evaluate_plan, find_pivot, stage_costs
 from repro.core.plan import ParallelPlan, Stage
-from repro.core.scheduler import dapple_schedule, warmup_counts
 from repro.experiments import write_result
 from repro.experiments.common import cluster, profile
 from repro.experiments.reporting import format_table
 from repro.models import PAPER_FIGURES
 from repro.runtime import execute_plan
+from repro.schedules import Dapple1F1BSchedule
 
 
 def _sample_plans(model_name: str, cfg: str, max_plans: int = 12):
@@ -142,7 +142,9 @@ class TestD4WarmupSweep:
             plan = ParallelPlan(model, stages, 16, 16)
             rows = []
             for k_cap in (1, 2, 4, 7, 16):
-                sched = dapple_schedule(4, 16, policy="PB", max_in_memory=k_cap)
+                sched = Dapple1F1BSchedule(
+                    4, 16, warmup_policy="PB", max_in_memory=k_cap
+                )
                 res = execute_plan(prof, clu, plan, schedule=sched)
                 rows.append((k_cap, res.iteration_time, res.memory.peak("gpu:0")))
             return rows

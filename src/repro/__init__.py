@@ -4,8 +4,9 @@ A faithful, fully-simulated reproduction of *DAPPLE: A Pipelined Data
 Parallel Approach for Training Large Models* (Fan et al., PPoPP 2021):
 
 * :mod:`repro.core` — the paper's contribution: profiler, pipeline-latency
-  model (eq. 1–3), topology-aware placement, DP planner, and the
-  early-backward micro-batch scheduler;
+  model (eq. 1–3), topology-aware placement, and the DP planner;
+* :mod:`repro.schedules` — the schedule IR: GPipe, the early-backward
+  micro-batch schedule, and their extensions;
 * :mod:`repro.cluster` — the hardware substrate (Table III configs,
   interconnects, collectives);
 * :mod:`repro.sim` / :mod:`repro.runtime` — a deterministic discrete-event

@@ -7,8 +7,8 @@ Three pillars, one report type:
   warm-up counts, Ki memory bound, resource exclusivity, synchronous
   weight sync, analytical makespan lower bound);
 * :mod:`repro.check.oracles` — differential oracles over the repo's
-  redundant implementations (compiled vs reference engine, fast-scan vs
-  scalar planner, evaluate vs explain, clean fault path);
+  redundant implementations (compiled vs reference engine, level-batched
+  vs scalar planner, evaluate vs explain, clean fault path);
 * :mod:`repro.check.generators` — seeded random instances so both run
   beyond the model zoo.
 
@@ -25,6 +25,7 @@ from repro.check.invariants import (
     verify_execution,
 )
 from repro.check.oracles import (
+    ScalarPlanner,
     oracle_batched_ensemble,
     oracle_clean_faults,
     oracle_engines,
@@ -33,6 +34,7 @@ from repro.check.oracles import (
     oracle_plan_cache,
     oracle_planner,
     oracle_served_plan,
+    planner_diffs,
     run_oracles,
 )
 from repro.check.generators import GeneratedCase, generate_cases, random_case
@@ -53,6 +55,8 @@ __all__ = [
     "oracle_planner",
     "oracle_served_plan",
     "run_oracles",
+    "ScalarPlanner",
+    "planner_diffs",
     "GeneratedCase",
     "generate_cases",
     "random_case",

@@ -17,6 +17,9 @@ Two entry styles:
   strategies (seeds mapped through the same generators, so hypothesis
   shrinks to the smallest failing *seed*); importing them raises only
   when hypothesis is genuinely missing.
+
+Hand-built task lists run through the executor wrapped in an
+:class:`ExplicitSchedule`.
 """
 
 from __future__ import annotations
@@ -27,11 +30,12 @@ from dataclasses import dataclass, field
 from repro.cluster.configs import config_by_name
 from repro.core.plan import ParallelPlan, Stage
 from repro.core.profiler import profile_model
-from repro.core.scheduler import MicroBatchTask
 from repro.models.graph import uniform_model
+from repro.schedules import Backward, Forward, PipeSchedule, PipeTask
 
 __all__ = [
     "GeneratedCase",
+    "ExplicitSchedule",
     "random_case",
     "generate_cases",
     "random_schedule",
@@ -131,7 +135,20 @@ def generate_cases(n: int, base_seed: int = 0) -> list[GeneratedCase]:
     return [random_case(base_seed + i) for i in range(n)]
 
 
-def random_schedule(num_micro_batches: int, rng: random.Random) -> list[MicroBatchTask]:
+class ExplicitSchedule(PipeSchedule):
+    """A :class:`PipeSchedule` over caller-given per-stage task lists."""
+
+    name = "explicit"
+
+    def __init__(self, streams, num_micro_batches: int):
+        super().__init__(len(streams), num_micro_batches)
+        self._given = [list(tasks) for tasks in streams]
+
+    def stage_stream(self, stage: int):
+        return iter(self._given[stage])
+
+
+def random_schedule(num_micro_batches: int, rng: random.Random) -> list[PipeTask]:
     """A random *valid* single-stage schedule over ``num_micro_batches``.
 
     Uniformly interleaves forwards and backwards subject to the stage-local
@@ -140,17 +157,17 @@ def random_schedule(num_micro_batches: int, rng: random.Random) -> list[MicroBat
     guaranteed — use per stage (memory property tests), not as a full
     executor schedule.
     """
-    tasks: list[MicroBatchTask] = []
+    tasks: list[PipeTask] = []
     next_f = 0
     pending_b: list[int] = []
     while next_f < num_micro_batches or pending_b:
         can_f = next_f < num_micro_batches
         if can_f and (not pending_b or rng.random() < 0.5):
-            tasks.append(MicroBatchTask("F", next_f))
+            tasks.append(Forward(next_f))
             pending_b.append(next_f)
             next_f += 1
         else:
-            tasks.append(MicroBatchTask("B", pending_b.pop(0)))
+            tasks.append(Backward(pending_b.pop(0)))
     return tasks
 
 

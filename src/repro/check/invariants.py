@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import repro.obs as obs
-from repro.core.scheduler import (
+from repro.schedules import (
     max_resident_micro_batches,
     validate_schedule,
     warmup_counts,
@@ -602,25 +602,22 @@ def _check_bw_order(trace, report: ConformanceReport) -> None:
             ))
 
 
-def _check_ir_high_water(pipe_schedule, schedule,
-                         report: ConformanceReport) -> None:
-    """The IR's declared residency high-water matches the lowered schedule.
+def _check_ir_high_water(pipe_schedule, report: ConformanceReport) -> None:
+    """The IR's declared residency high-water matches its task streams.
 
     ``memory-bound`` then ties the same number to the simulated memory
     timeline, so the IR's :meth:`memory_high_water` declaration, the task
     streams, and the runtime cannot drift apart silently.
     """
-    if pipe_schedule is None:
-        return
     report.ran("ir-high-water")
     declared = pipe_schedule.memory_high_water()
-    for i, tasks in enumerate(schedule):
+    for i, tasks in enumerate(pipe_schedule.streams()):
         actual = max_resident_micro_batches(tasks)
         if declared[i] != actual:
             report.add(Violation(
                 "ir-high-water",
                 f"IR declares {declared[i]} resident micro-batches but the "
-                f"lowered stream peaks at {actual}",
+                f"stream peaks at {actual}",
                 stage=i,
             ))
 
@@ -743,13 +740,14 @@ def check_execution(
         Any registry spec: ``"dapple"`` checks warm-up counts + 1F1B shape,
         ``"gpipe"`` the flush shape, ``"zb2bp"`` the BI/BW steady state and
         BI-first cooldown, ``"interleaved"`` per-virtual-stage FIFO order;
-        ``None`` skips schedule-shape checks (custom raw schedule).
+        ``None`` skips schedule-shape checks (e.g. an explicit-stream
+        schedule).
     max_in_memory:
         The memory cap ``D`` the schedule was built with; derived from the
         executor's memory model when omitted.
     """
     plan = executor.plan
-    schedule = executor.schedule
+    schedule = executor.schedule.streams()
     trace = result.trace
     memory = result.memory
     makespan = getattr(result, "makespan", None)
@@ -779,8 +777,7 @@ def check_execution(
             )
         _check_trace_order(trace, plan, schedule, report)
         _check_bw_order(trace, report)
-        _check_ir_high_water(getattr(executor, "pipe_schedule", None),
-                             schedule, report)
+        _check_ir_high_water(executor.schedule, report)
         _check_memory(memory, plan, executor.stage_mem, schedule, report)
         _check_weight_sync(graph, trace, plan, report)
     if obs.enabled():

@@ -1,8 +1,9 @@
 """Differential oracles: two independent implementations must agree.
 
 The repo carries several redundant computations kept deliberately
-bit-identical — a compiled and a reference simulator engine, a vectorized
-and a scalar planner scan, a closed-form latency estimate and its
+bit-identical — a compiled and a reference simulator engine, the
+level-batched planner search and its scalar oracle (:class:`ScalarPlanner`,
+defined here), a closed-form latency estimate and its
 per-stage decomposition, a fault-injection path whose empty-model case is
 the clean path itself.  Each pair is a free correctness oracle: when the
 cheap/fast side drifts from its slow/simple twin, something broke.  This
@@ -14,13 +15,17 @@ code and report format as a semantic violation.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 
 from repro.check.invariants import ConformanceReport, Violation
-from repro.core.scheduler import warmup_counts
+from repro.core.placement import allocate
+from repro.core.plan import Stage
+from repro.core.planner import Planner, PlannerConfig, _State, plan_best
+from repro.schedules import warmup_counts
 
 __all__ = [
+    "ScalarPlanner",
+    "planner_diffs",
     "oracle_engines",
     "oracle_planner",
     "oracle_plan_cache",
@@ -140,44 +145,89 @@ def oracle_batched_ensemble(
     return report
 
 
+class ScalarPlanner(Planner):
+    """The planner with every transition scored by scalar ``evaluate_plan``.
+
+    The bit-identity oracle for the level-batched scan kernel: it walks
+    candidates in (state, split, replication, policy) order, scores each
+    completion through :meth:`Planner._consider`, and keeps the
+    lowest-latency candidate per dedup key, first arrival winning ties —
+    the loop :meth:`Planner._replay_level` reproduces vectorially.
+    """
+
+    def _expand_level(self, frontier: list, next_level: dict, track: bool) -> None:
+        n = self.profile.num_layers
+        max_stages = self.config.max_stages
+        for state in frontier:
+            free_total = self.cluster.num_devices - sum(state.used)
+            for j2 in range(state.j + 1, n):
+                for m2 in range(1, free_total):
+                    for placed in allocate(
+                        self.cluster, state.used, m2, self.config.policies
+                    ):
+                        stages = state.stages + (Stage(state.j, j2, placed.devices),)
+                        if max_stages is not None and len(stages) + 1 > max_stages:
+                            continue
+                        lat = self._consider(self.complete(j2, placed.new_used, stages))
+                        if track:
+                            sc = self._score_counts
+                            sc[(j2, m2)] = sc.get((j2, m2), 0) + 1
+                        if lat == math.inf:
+                            continue
+                        key = (j2, tuple(sorted(placed.new_used)), sum(placed.new_used))
+                        cur = next_level.get(key)
+                        if cur is None or lat < cur.latency:
+                            next_level[key] = _State(lat, j2, placed.new_used, stages)
+
+
+def planner_diffs(a, b) -> list[tuple[str, object, object]]:
+    """``(field, a, b)`` for every search output two plan results disagree on.
+
+    Covers the winning plan (stage map, split, ``M``), its latency, the
+    search counters, and the full top-K beam.
+    """
+    checks = [
+        ("plan", a.plan.notation, b.plan.notation),
+        ("split", a.plan.split_notation, b.plan.split_notation),
+        ("stages", _stage_map(a.plan), _stage_map(b.plan)),
+        ("M", a.plan.num_micro_batches, b.plan.num_micro_batches),
+        ("latency", a.estimate.latency, b.estimate.latency),
+        ("states_explored", a.states_explored, b.states_explored),
+        ("plans_evaluated", a.plans_evaluated, b.plans_evaluated),
+        ("infeasible_plans", a.infeasible_plans, b.infeasible_plans),
+        ("top_plans", _beam(a), _beam(b)),
+    ]
+    return [c for c in checks if c[1] != c[2]]
+
+
+def _stage_map(plan) -> tuple:
+    return tuple(
+        (s.layer_lo, s.layer_hi, tuple(d.global_id for d in s.devices))
+        for s in plan.stages
+    )
+
+
+def _beam(result) -> tuple:
+    return tuple(
+        (lat, p.notation, p.split_notation, p.num_micro_batches)
+        for lat, p in result.top_plans
+    )
+
+
 def oracle_planner(profile, cluster, gbs: int,
                    config=None, subject: str = "planner") -> ConformanceReport:
-    """Level-batched, per-state fast-scan, and scalar searches agree exactly."""
-    from repro.core.planner import Planner, PlannerConfig
-
+    """The level-batched search and the scalar oracle agree exactly."""
     report = ConformanceReport(subject=subject)
     report.ran("oracle-planner")
-    base = config or PlannerConfig()
-    arms = {
-        "level-batched": dataclasses.replace(
-            base, use_fast_scan=True, level_batch=True
-        ),
-        "per-state": dataclasses.replace(
-            base, use_fast_scan=True, level_batch=False
-        ),
-        "scalar": dataclasses.replace(base, use_fast_scan=False),
-    }
-    results = {
-        name: Planner(profile, cluster, gbs, cfg).search()
-        for name, cfg in arms.items()
-    }
-    ref_name, ref = "level-batched", results["level-batched"]
-    for name in ("per-state", "scalar"):
-        other = results[name]
-        for field, a, b in (
-            ("plan", ref.plan.notation, other.plan.notation),
-            ("split", ref.plan.split_notation, other.plan.split_notation),
-            ("M", ref.plan.num_micro_batches, other.plan.num_micro_batches),
-            ("latency", ref.estimate.latency, other.estimate.latency),
-            ("plans_evaluated", ref.plans_evaluated, other.plans_evaluated),
-            ("infeasible_plans", ref.infeasible_plans, other.infeasible_plans),
-        ):
-            if a != b:
-                report.add(Violation(
-                    "oracle-planner",
-                    f"{ref_name} and {name} search disagree on {field}: "
-                    f"{a!r} vs {b!r}",
-                ))
+    cfg = config or PlannerConfig()
+    level = Planner(profile, cluster, gbs, cfg).search()
+    scalar = ScalarPlanner(profile, cluster, gbs, cfg).search()
+    for field, a, b in planner_diffs(level, scalar):
+        report.add(Violation(
+            "oracle-planner",
+            f"level-batched and scalar search disagree on {field}: "
+            f"{a!r} vs {b!r}",
+        ))
     return report
 
 
@@ -193,7 +243,6 @@ def oracle_plan_cache(profile, cluster, gbs: int,
     import tempfile
 
     from repro.core.plancache import PlanCache
-    from repro.core.planner import Planner, PlannerConfig, plan_best
 
     report = ConformanceReport(subject=subject)
     report.ran("oracle-plan-cache")
@@ -210,20 +259,7 @@ def oracle_plan_cache(profile, cluster, gbs: int,
             f"stored entry did not hit: hits={cache.hits} misses={cache.misses}",
         ))
         return report
-    checks = [
-        ("plan", fresh.plan.notation, hit.plan.notation),
-        ("split", fresh.plan.split_notation, hit.plan.split_notation),
-        ("M", fresh.plan.num_micro_batches, hit.plan.num_micro_batches),
-        ("latency", fresh.estimate.latency, hit.estimate.latency),
-        ("states_explored", fresh.states_explored, hit.states_explored),
-        ("plans_evaluated", fresh.plans_evaluated, hit.plans_evaluated),
-        ("infeasible_plans", fresh.infeasible_plans, hit.infeasible_plans),
-        ("top_plans", len(fresh.top_plans), len(hit.top_plans)),
-    ]
-    for (lat_a, plan_a), (lat_b, plan_b) in zip(fresh.top_plans, hit.top_plans):
-        checks.append(("top_plans.latency", lat_a, lat_b))
-        checks.append(("top_plans.plan", plan_a.notation, plan_b.notation))
-    for field, a, b in checks:
+    for field, a, b in planner_diffs(fresh, hit):
         if a != b:
             report.add(Violation(
                 "oracle-plan-cache",
@@ -244,7 +280,6 @@ def oracle_served_plan(profile, cluster, gbs: int,
     Environments that cannot bind a localhost socket report the oracle as
     skipped rather than failing.
     """
-    from repro.core.planner import plan_best
     from repro.core.serialization import (
         cluster_to_dict,
         graph_to_dict,
@@ -258,8 +293,6 @@ def oracle_served_plan(profile, cluster, gbs: int,
     except ImportError:  # pragma: no cover - serve is part of the package
         return report
     report.ran("oracle-served-plan")
-
-    from repro.core.planner import PlannerConfig
 
     cfg = config or PlannerConfig()
     direct = plan_best(profile, cluster, gbs, cfg)

@@ -192,7 +192,7 @@ def cmd_plan(args) -> int:
             print(f"simulated: OOM under {args.schedule}: {e}")
         else:
             print(f"simulated: {sim.iteration_time * 1e3:.1f} ms under "
-                  f"{ex.pipe_schedule.describe()}")
+                  f"{ex.schedule.describe()}")
     if args.save:
         path = save_plan(plan, args.save)
         print(f"saved   : {path}")

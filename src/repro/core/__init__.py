@@ -1,4 +1,4 @@
-"""DAPPLE core: profiler, latency model, placement, planner, scheduler."""
+"""DAPPLE core: profiler, latency model, placement, planner."""
 
 from repro.core.profiler import LayerProfile, ModelProfile, profile_model
 from repro.core.plan import Stage, ParallelPlan, PlanKind
@@ -11,20 +11,8 @@ from repro.core.placement import (
     scatter_first,
     POLICIES,
 )
-from repro.core.fast_scan import (
-    CompletionScanner,
-    ScanResult,
-    best_two_stage_split,
-    scan_two_stage,  # deprecated: the empty-prefix case of CompletionScanner
-)
+from repro.core.fast_scan import CompletionScanner
 from repro.core.planner import Planner, PlannerConfig, plan_best
-from repro.core.scheduler import (
-    MicroBatchTask,
-    StageSchedule,
-    dapple_schedule,
-    gpipe_schedule,
-    warmup_counts,
-)
 
 __all__ = [
     "LayerProfile",
@@ -46,12 +34,4 @@ __all__ = [
     "PlannerConfig",
     "plan_best",
     "CompletionScanner",
-    "ScanResult",
-    "best_two_stage_split",
-    "scan_two_stage",
-    "MicroBatchTask",
-    "StageSchedule",
-    "dapple_schedule",
-    "gpipe_schedule",
-    "warmup_counts",
 ]

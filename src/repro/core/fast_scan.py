@@ -7,7 +7,8 @@ group, and a tail stage covering ``[j2, N)`` on the remaining free devices.
 Every cost term of that plan is affine in the profile's layer prefix sums,
 so for a fixed ``(state, allocation)`` the scan over all splits ``j2``
 vectorizes — and allocations only differ per-row, so the whole
-``(allocation row, split)`` grid evaluates in one numpy pass.
+``(allocation row, split)`` grid of every state of one frontier level
+evaluates in one numpy pass (:meth:`CompletionScanner.scan_level`).
 
 :class:`CompletionScanner` implements that kernel with two guarantees:
 
@@ -18,21 +19,17 @@ vectorizes — and allocations only differ per-row, so the whole
   multiply — so the vectorized mirror performs the *same IEEE-754 operation
   sequence* as the scalar model and reproduces its latencies exactly, not
   just approximately.  ``tests/core/test_planner_equivalence.py`` holds the
-  planner to that contract across the model zoo.
+  planner to that contract across the model zoo, against the scalar
+  oracle :class:`repro.check.oracles.ScalarPlanner`.
 * **Memoized coefficients.**  Transfer and AllReduce costs depend on the
   device groups only through a small coefficient record (flow counts, link
   specs, ring sizes).  Those records — and per-``(layer_lo, layer_hi)``
   persistent-memory terms — are cached on the scanner, so repeated states
   stop recomputing identical terms.
-
-The legacy two-stage entry points (:func:`scan_two_stage`,
-:func:`best_two_stage_split`) remain as thin wrappers over the general
-kernel; ``scan_two_stage``'s call shape is deprecated.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -130,23 +127,6 @@ def _apply_allreduce(c: _AllreduceCoef, nbytes: np.ndarray) -> np.ndarray:
 # Scan result
 # --------------------------------------------------------------------------- #
 @dataclass
-class ScanResult:
-    """All completions of one ``(state, allocations)`` transition batch.
-
-    ``latency[r, k]`` is the (stage-overhead-penalized) analytical latency
-    of the plan that puts layers ``[j, splits[k])`` on allocation row ``r``
-    and ``[splits[k], N)`` on that row's free tail — ``inf`` where the
-    candidate was filtered (memory-infeasible or below ``min_stages``).
-    """
-
-    splits: np.ndarray  # (J,) candidate j2 values
-    latency: np.ndarray  # (R, J)
-    feasible: np.ndarray  # (R, J) memory-feasibility mask (all-True if unchecked)
-    evaluated: int
-    infeasible: int
-
-
-@dataclass
 class LevelScanResult:
     """All completions of one frontier *level* (many states, one call).
 
@@ -155,8 +135,10 @@ class LevelScanResult:
     and its allocation index within that spec.  The split axis is global —
     ``splits = arange(min_j_lo + 1, N)`` — and ``latency[t, k]`` is ``inf``
     wherever ``splits[k] <= j_lo`` of row ``t``'s state (no such completion)
-    or the candidate was filtered, so finite entries are exactly the
-    per-state :meth:`CompletionScanner.scan_completions` latencies.
+    or the candidate was filtered (memory-infeasible or below
+    ``min_stages``).  Finite entries are the (stage-overhead-penalized)
+    analytical latencies of the plans putting layers ``[j_lo, splits[k])``
+    on row ``t``'s group and ``[splits[k], N)`` on its free tail.
     """
 
     splits: np.ndarray  # (J,) global candidate j2 values
@@ -340,232 +322,6 @@ class CompletionScanner:
             self._rowcoefs[row_key] = rc
         return rc
 
-    # ------------------------------- kernel -------------------------------- #
-    def scan_completions(
-        self,
-        j_lo: int,
-        prefix: Sequence,
-        groups: Sequence[Sequence[Device]],
-        tails: Sequence[Sequence[Device]],
-        *,
-        global_batch_size: int,
-        num_micro_batches: int,
-        enforce_memory: bool = True,
-        min_stages: int = 1,
-        stage_overhead_frac: float = 0.0,
-    ) -> ScanResult:
-        """Score every completion of a state in one numpy pass.
-
-        ``prefix`` is the state's frozen stage tuple (layers ``[0, j_lo)``);
-        row ``r`` places the new stage ``[j_lo, j2)`` on ``groups[r]`` and
-        the tail ``[j2, N)`` on ``tails[r]``, for every split
-        ``j2 ∈ (j_lo, N)``.  Finite entries of the returned latency matrix
-        are bit-identical to ``evaluate_plan(...).latency · penalty`` on the
-        corresponding :class:`~repro.core.plan.ParallelPlan`.
-        """
-        prof = self.profile
-        n = prof.num_layers
-        m = num_micro_batches
-        mbs = global_batch_size / m
-        P = len(prefix)
-        S = P + 2  # prefix + new + tail computation stages
-        E = 2 * S - 1  # extended stages: comp/comm interleaved
-        R = len(groups)
-        splits = np.arange(j_lo + 1, n)
-        J = splits.size
-        if R == 0 or J == 0:
-            empty = np.empty((R, J))
-            return ScanResult(splits, empty, np.ones((R, J), dtype=bool), 0, 0)
-
-        fp, bp = prof.fwd_prefix, prof.bwd_prefix
-        pp, sp = prof.param_bytes_prefix, prof.stored_prefix
-        ovh = prof.graph.fixed_overhead_fwd
-
-        # Per-split layer-range aggregates (shared by all rows).
-        d_fwd = fp[splits] - fp[j_lo]
-        d_bwd = bp[splits] - bp[j_lo]
-        d_par = pp[splits] - pp[j_lo]
-        d_sto = sp[splits] - sp[j_lo]
-        span_new = splits - j_lo
-        t_fwd = fp[n] - fp[splits]
-        t_bwd = bp[n] - bp[splits]
-        t_par = pp[n] - pp[splits]
-        t_sto = sp[n] - sp[splits]
-        span_tail = n - splits
-        nbytes = prof.boundary_bytes_array(splits, mbs)
-
-        FWD = np.empty((E, R, J))
-        BWD = np.empty((E, R, J))
-        AR = np.zeros((E, R, J))
-
-        # Prefix stages: j2-independent scalar constants (rows share them).
-        ar_nonzero: list[int] = []
-        for i, st in enumerate(prefix):
-            b = mbs / len(st.devices)
-            k = 2 * i
-            FWD[k] = prof.fwd_time(st.layer_lo, st.layer_hi, b)
-            BWD[k] = prof.bwd_time(st.layer_lo, st.layer_hi, b)
-            if len(st.devices) > 1:
-                ar = self._allreduce_scalar(
-                    prof.param_bytes(st.layer_lo, st.layer_hi), st.devices
-                )
-                if ar != 0.0:
-                    AR[k] = ar
-                    ar_nonzero.append(k)
-            if i + 1 < P:
-                nb = prof.boundary_bytes(st.layer_hi, mbs)
-                nxt = prefix[i + 1]
-                FWD[k + 1] = self._p2p_time(nb, st.devices, nxt.devices)
-                BWD[k + 1] = self._p2p_time(nb, nxt.devices, st.devices)
-
-        # Communication prefix → new stage: j2-independent but row-dependent.
-        if P:
-            nb_prev = prof.boundary_bytes(j_lo, mbs)
-            prev = prefix[-1].devices
-            FWD[2 * P - 1] = np.array(
-                [self._p2p_time(nb_prev, prev, g) for g in groups]
-            )[:, None]
-            BWD[2 * P - 1] = np.array(
-                [self._p2p_time(nb_prev, g, prev) for g in groups]
-            )[:, None]
-
-        # New stage (index E-3) and tail stage (index E-1): per-row batches.
-        b_new = np.array([mbs / len(g) for g in groups])
-        b_tail = np.array([mbs / len(t) for t in tails])
-        FWD[E - 3] = d_fwd[None, :] * b_new[:, None] + span_new * ovh
-        BWD[E - 3] = d_bwd[None, :] * b_new[:, None] + span_new * ovh
-        FWD[E - 1] = t_fwd[None, :] * b_tail[:, None] + span_tail * ovh
-        BWD[E - 1] = t_bwd[None, :] * b_tail[:, None] + span_tail * ovh
-
-        # Gradient AllReduce for replicated new/tail stages; rows with the
-        # same coefficient record share one evaluation.
-        vec_cache: dict[tuple, np.ndarray] = {}
-
-        def cached(coef, arr: np.ndarray, fn) -> np.ndarray:
-            key = (coef, id(arr))
-            out = vec_cache.get(key)
-            if out is None:
-                out = fn(coef, arr)
-                vec_cache[key] = out
-            return out
-
-        any_new_rep = any_tail_rep = False
-        for r in range(R):
-            if len(groups[r]) > 1:
-                AR[E - 3, r] = cached(self._allreduce_coef(groups[r]), d_par, _apply_allreduce)
-                any_new_rep = True
-            if len(tails[r]) > 1:
-                AR[E - 1, r] = cached(self._allreduce_coef(tails[r]), t_par, _apply_allreduce)
-                any_tail_rep = True
-
-        # Communication new → tail (index E-2): depends on j2 through bytes.
-        for r in range(R):
-            FWD[E - 2, r] = cached(self._transfer_coef(groups[r], tails[r]), nbytes, _apply_transfer)
-            BWD[E - 2, r] = cached(self._transfer_coef(tails[r], groups[r]), nbytes, _apply_transfer)
-
-        # Pivot walk (eq. 3), vectorized over the (R, J) grid: mirror
-        # find_pivot's descending scan with running prefix sums.
-        m1 = max(m - 1, 0)
-        FB = FWD + BWD
-        TS = m1 * FB
-        FBC = np.cumsum(FB, axis=0)  # inclusive; exclusive[k] = FBC[k-1]
-        q = np.full((R, J), E - 1, dtype=np.int64)
-        ts_q = TS[E - 1].copy()
-        for s in range(E - 2, -1, -1):
-            between = np.take_along_axis(FBC, (q - 1)[None], axis=0)[0] - FBC[s]
-            move = TS[s] > ts_q + between
-            q = np.where(move, s, q)
-            ts_q = np.where(move, TS[s], ts_q)
-
-        FWC = np.cumsum(FWD, axis=0)
-        tw = np.take_along_axis(FWC, q[None], axis=0)[0]
-
-        # Ending (eq. 1): max over stages of AR_s ± backward sums around the
-        # pivot.  Stages with AR = 0 and s ≤ q are exactly dominated by the
-        # s = 0 term (their sum is a sub-range of its sum minus nothing
-        # positive), and zero-AR stages with s > q contribute ≤ 0, so the max
-        # only needs s = 0 plus the stages that can carry a nonzero AR.
-        BC = np.cumsum(BWD, axis=0)
-        bc_q = np.take_along_axis(BC, q[None], axis=0)[0]  # Σ B[0..q]
-        bc_qm1 = np.where(
-            q > 0, np.take_along_axis(BC, np.maximum(q - 1, 0)[None], axis=0)[0], 0.0
-        )
-        cand = set(ar_nonzero)
-        cand.add(0)
-        if any_new_rep:
-            cand.add(E - 3)
-        if any_tail_rep:
-            cand.add(E - 1)
-        ending = np.zeros((R, J))
-        for s in sorted(cand):
-            bcs = BC[s - 1] if s > 0 else 0.0
-            le_term = AR[s] + (bc_q - bcs)
-            if s > 0:
-                gt_term = AR[s] - (BC[s - 1] - bc_qm1)
-                term = np.where(s <= q, le_term, gt_term)
-            else:
-                term = le_term
-            ending = np.maximum(ending, term)
-
-        lat = tw + ts_q + ending
-        penalty = 1.0 + stage_overhead_frac * (S - 1)
-        if penalty != 1.0:
-            lat = lat * penalty
-
-        evaluated = R * J
-        infeasible = 0
-        feasible = np.ones((R, J), dtype=bool)
-        if S < min_stages:
-            lat = np.full((R, J), np.inf)
-        elif enforce_memory:
-            feasible = self._memory_feasible(
-                prefix, groups, tails, S, m, mbs, b_new, b_tail,
-                d_par, d_sto, t_par, t_sto, splits,
-            )
-            infeasible = int(feasible.size - int(feasible.sum()))
-            if infeasible:
-                lat = np.where(feasible, lat, np.inf)
-        return ScanResult(splits, lat, feasible, evaluated, infeasible)
-
-    def _memory_feasible(
-        self,
-        prefix,
-        groups,
-        tails,
-        S: int,
-        m: int,
-        mbs: float,
-        b_new: np.ndarray,
-        b_tail: np.ndarray,
-        d_par: np.ndarray,
-        d_sto: np.ndarray,
-        t_par: np.ndarray,
-        t_sto: np.ndarray,
-        splits: np.ndarray,
-    ) -> np.ndarray:
-        """Vectorized ``Planner.plan_fits_memory`` over the (R, J) grid.
-
-        Planner-generated completions place disjoint device sets per stage,
-        so per-device demand is just that stage's demand and the per-stage
-        check reduces to ``demand ≤ min(capacity over the group)``.
-        """
-        prof = self.profile
-        per_param = OPTIMIZER_STATE_BYTES[prof.graph.optimizer]
-        for i, st in enumerate(prefix):
-            demand = self._persistent_bytes(st.layer_lo, st.layer_hi) + min(
-                S - i, m
-            ) * prof.stored_bytes(st.layer_lo, st.layer_hi, mbs / len(st.devices))
-            if demand > self._min_capacity(st.devices):
-                return np.zeros((len(groups), splits.size), dtype=bool)
-
-        pers_new = d_par / FP32 * per_param + d_par / FP32 * GRAD_BYTES_PER_PARAM
-        pers_tail = t_par / FP32 * per_param + t_par / FP32 * GRAD_BYTES_PER_PARAM
-        demand_new = pers_new[None, :] + min(2, m) * (d_sto[None, :] * b_new[:, None])
-        demand_tail = pers_tail[None, :] + 1 * (t_sto[None, :] * b_tail[:, None])
-        caps_new = np.array([self._min_capacity(g) for g in groups])
-        caps_tail = np.array([self._min_capacity(t) for t in tails])
-        return (demand_new <= caps_new[:, None]) & (demand_tail <= caps_tail[:, None])
-
     # --------------------------- level kernel ------------------------------ #
     def scan_level(
         self,
@@ -586,16 +342,20 @@ class CompletionScanner:
         stacks into one padded tensor).  Split-range aggregates are computed
         once per distinct ``j_lo``, tail aggregates and boundary bytes once
         for the whole level, and per-group coefficient vectors are shared
-        across *states* (the per-state kernel could only share them across
-        rows of one state).  Rows are processed in chunks of at most
+        across states and rows.  Rows are processed in chunks of at most
         ``_LEVEL_CHUNK_ELEMS / (E·J)`` to bound the working set.
 
-        Finite entries are bit-identical to the per-state
-        :meth:`scan_completions` results: all elementwise cost/pivot/ending
-        arithmetic is unchanged, and the level-global ending candidate set
-        only adds zero-AllReduce stages, which are exactly dominated (their
-        ``s ≤ q`` term is the ``s = 0`` term minus a nonnegative backward
-        sum; their ``s > q`` term is ≤ 0 against a max that starts at 0).
+        Finite entries are bit-identical to ``evaluate_plan(...).latency ·
+        penalty`` on the corresponding
+        :class:`~repro.core.plan.ParallelPlan`: every cost, pivot and ending
+        term follows the scalar model's operation order, and the ending max
+        skips only zero-AllReduce stages outside the level-wide candidate
+        set, which are exactly dominated (their ``s ≤ q`` term is the
+        ``s = 0`` term minus a nonnegative backward sum; their ``s > q``
+        term is ≤ 0 against a max that starts at 0).  The memory mask is
+        ``Planner.plan_fits_memory`` per split: completions place disjoint
+        device sets per stage, so each stage's check reduces to
+        ``demand ≤ min(capacity over the group)``.
         """
         prof = self.profile
         n = prof.num_layers
@@ -799,7 +559,8 @@ class CompletionScanner:
                 FWD[E - 2, r - lo] = cached(tcoef_f[r], nbytes, _apply_transfer)
                 BWD[E - 2, r - lo] = cached(tcoef_b[r], nbytes, _apply_transfer)
 
-            # Pivot walk (eq. 3) — identical to the per-state kernel.
+            # Pivot walk (eq. 3), vectorized over the (T, J) grid: mirror
+            # find_pivot's descending scan with running prefix sums.
             m1 = max(m - 1, 0)
             FB = FWD + BWD
             TS = m1 * FB
@@ -895,61 +656,3 @@ def shared_scanner(profile: ModelProfile, cluster: Cluster) -> CompletionScanner
     while len(_SCANNER_REGISTRY) > _SCANNER_REGISTRY_CAP:
         _SCANNER_REGISTRY.pop(next(iter(_SCANNER_REGISTRY)))
     return scanner
-
-
-# --------------------------------------------------------------------------- #
-# Legacy two-stage entry points
-# --------------------------------------------------------------------------- #
-def scan_two_stage(
-    profile: ModelProfile,
-    cluster: Cluster,
-    global_batch_size: int,
-    group0: Sequence[Device],
-    group1: Sequence[Device],
-    num_micro_batches: int,
-) -> np.ndarray:
-    """Latency ``L(j)`` of the two-stage plan for every split ``j=1..N−1``.
-
-    .. deprecated::
-        ``scan_two_stage`` is the empty-prefix special case of
-        :meth:`CompletionScanner.scan_completions`; call that instead.
-    """
-    warnings.warn(
-        "scan_two_stage is deprecated; use "
-        "CompletionScanner.scan_completions(0, (), [group0], [group1], ...)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _two_stage_latencies(
-        profile, cluster, global_batch_size, group0, group1, num_micro_batches
-    )
-
-
-def _two_stage_latencies(profile, cluster, gbs, group0, group1, m) -> np.ndarray:
-    scanner = CompletionScanner(profile, cluster)
-    res = scanner.scan_completions(
-        0,
-        (),
-        [tuple(group0)],
-        [tuple(group1)],
-        global_batch_size=gbs,
-        num_micro_batches=m,
-        enforce_memory=False,
-    )
-    return res.latency[0]
-
-
-def best_two_stage_split(
-    profile: ModelProfile,
-    cluster: Cluster,
-    global_batch_size: int,
-    group0: Sequence[Device],
-    group1: Sequence[Device],
-    num_micro_batches: int,
-) -> tuple[int, float]:
-    """Argmin over splits: ``(best_j, best_latency)``."""
-    lat = _two_stage_latencies(
-        profile, cluster, global_batch_size, group0, group1, num_micro_batches
-    )
-    idx = int(np.argmin(lat))
-    return idx + 1, float(lat[idx])

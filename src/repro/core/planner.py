@@ -74,19 +74,6 @@ class PlannerConfig:
     #: Also consider Megatron-style interleaved virtual-stage candidates
     #: (an extension beyond the paper's single-chunk stages).
     consider_interleaved: bool = False
-    #: Score transitions with the vectorized completion scanner
-    #: (:class:`repro.core.fast_scan.CompletionScanner`) — bit-identical
-    #: plans/latencies to the scalar loop, roughly an order of magnitude
-    #: faster.  False keeps the reference scalar path (used by the
-    #: equivalence suite and available for debugging).
-    use_fast_scan: bool = True
-    #: Batch each whole frontier level into one scanner kernel call
-    #: (:meth:`repro.core.fast_scan.CompletionScanner.scan_level`) instead of
-    #: one call per state, with memoized allocation rows / free-device tuples
-    #: and a vectorized beam-dedup replay — still bit-identical.  Only
-    #: meaningful with ``use_fast_scan=True``; False keeps the per-state
-    #: kernel path (the previous behaviour, used as the benchmark baseline).
-    level_batch: bool = True
     #: Also collect the K best distinct complete plans seen during the
     #: search into :attr:`PlanResult.top_plans` (0 = don't).  Robust
     #: planning (:mod:`repro.faults.robust`) re-scores these runners-up
@@ -172,9 +159,9 @@ class Planner:
         # (split j', replication m') -> number of candidate scorings, filled
         # only while observability is enabled (see _flush_obs).
         self._score_counts: dict[tuple[int, int], int] = {}
-        # Per-occupancy memoization for the level-batched path: allocation
-        # rows are a function of (used,) only, and the free-device tuple of
-        # each resulting occupancy recurs across states and levels.
+        # Per-occupancy memoization: allocation rows are a function of
+        # (used,) only, and the free-device tuple of each resulting
+        # occupancy recurs across states and levels.
         self._rows_cache: dict[tuple, tuple] = {}
         self._free_cache: dict[tuple, tuple] = {}
         self._sig_cache: dict[tuple, tuple] = {}
@@ -199,11 +186,11 @@ class Planner:
     def _alloc_rows(self, used: tuple) -> tuple:
         """Memoized ``(rows, groups, tails, row_key)`` for one occupancy.
 
-        The per-state search loop rebuilds this row list (every replication
-        count × every policy) for each frontier state; occupancy signatures
-        recur heavily across states and levels, so the level-batched path
-        caches the rows, their device/tail tuples, and a hashable row_key
-        under which the scanner memoizes per-row coefficient bundles.
+        The rows are every replication count × every policy allocation of
+        the free devices.  Occupancy signatures recur heavily across states
+        and levels, so the rows, their device/tail tuples, and a hashable
+        row_key under which the scanner memoizes per-row coefficient
+        bundles are cached per occupancy.
         """
         entry = self._rows_cache.get(used)
         if entry is None:
@@ -417,11 +404,11 @@ class Planner:
     def _replay_level(self, specs: list, res, next_level: dict):
         """Vectorized replay of the scalar beam loop over one level's scores.
 
-        The scalar loop iterates candidates in (state, split, row) order and,
-        per dedup key ``(j2, sorted occupancy, gpus)``: inserts the key at
-        its first finite candidate, keeps the lowest-latency candidate with
-        ties broken by arrival, and updates the global best on strict
-        improvement.  All three reduce to lexsorts over a rank array encoding
+        The scalar loop (the oracle :class:`repro.check.oracles.ScalarPlanner`)
+        iterates candidates in (state, split, row) order and, per dedup key
+        ``(j2, sorted occupancy, gpus)``: inserts the key at its first finite
+        candidate, keeps the lowest-latency candidate with ties broken by
+        arrival, and updates the global best on strict improvement.  All three reduce to lexsorts over a rank array encoding
         that iteration order, so ``next_level`` ends up with identical
         contents *and* insertion order (``heapq.nsmallest`` is stable, so
         dict order feeds beam tie-breaking).  Top-K collection depends on
@@ -506,45 +493,89 @@ class Planner:
         _state, placed, j2, stages = materialize(best_pos)
         return float(lats[best_pos]), j2, placed.new_used, stages
 
-    def _search(self) -> PlanResult:
+    def _consider(self, plan: ParallelPlan | None) -> float:
+        """Score one complete plan; keep it if it beats the best so far."""
+        lat, est = self._score(plan)
+        if lat < self._best_latency:
+            self._best_plan, self._best_est, self._best_latency = plan, est, lat
+        if est is not None:
+            self._note_candidate(lat, plan)
+        return lat
+
+    def _expand_level(self, frontier: list, next_level: dict, track: bool) -> None:
+        """Score every transition of one frontier level into ``next_level``.
+
+        Collects every state's allocation rows (memoized per occupancy),
+        scores the whole level in one
+        :meth:`~repro.core.fast_scan.CompletionScanner.scan_level` call, then
+        replays the scalar insertion order over the latency matrix.
+        """
         n = self.profile.num_layers
+        max_stages = self.config.max_stages
+        specs: list[tuple[_State, list]] = []
+        level: list[tuple] = []
+        for state in frontier:
+            if max_stages is not None and len(state.stages) + 2 > max_stages:
+                continue
+            rows, groups, tails, row_key = self._alloc_rows(state.used)
+            if not rows or state.j + 1 >= n:
+                continue
+            if track:
+                per_repl: dict[int, int] = {}
+                for placed in rows:
+                    r_count = len(placed.devices)
+                    per_repl[r_count] = per_repl.get(r_count, 0) + 1
+                sc = self._score_counts
+                for j2 in range(state.j + 1, n):
+                    for r_count, cnt in per_repl.items():
+                        key = (j2, r_count)
+                        sc[key] = sc.get(key, 0) + cnt
+            specs.append((state, rows))
+            level.append((state.j, state.stages, groups, tails, row_key))
+        if not specs:
+            return
+        res = shared_scanner(self.profile, self.cluster).scan_level(
+            level,
+            global_batch_size=self.gbs,
+            num_micro_batches=self._m_multi,
+            enforce_memory=self.config.enforce_memory,
+            min_stages=self.config.min_stages,
+            stage_overhead_frac=self.config.stage_overhead_frac,
+        )
+        self._plans_evaluated += res.evaluated
+        self._infeasible += res.infeasible
+        if track:
+            obs.histogram(
+                "planner.level_batch", buckets=(1, 4, 16, 64, 256, 1024)
+            ).observe(res.latency.shape[0])
+        winner = self._replay_level(specs, res, next_level)
+        if winner is not None and winner[0] < self._best_latency:
+            lat_v, j2, new_used, stages = winner
+            self._best_plan = self.complete(j2, new_used, stages)
+            self._best_est = evaluate_plan(self.profile, self.cluster, self._best_plan)
+            self._best_latency = lat_v
+
+    def _search(self) -> PlanResult:
         g_total = self.cluster.num_devices
         zeros = tuple(0 for _ in range(self.cluster.num_machines))
-
-        best_plan: ParallelPlan | None = None
-        best_est: PlanEstimate | None = None
-        best_latency = float("inf")
+        self._best_plan: ParallelPlan | None = None
+        self._best_est: PlanEstimate | None = None
+        self._best_latency = float("inf")
         states_explored = 0
-
-        def consider(plan: ParallelPlan | None) -> float:
-            nonlocal best_plan, best_est, best_latency
-            lat, est = self._score(plan)
-            if lat < best_latency:
-                best_plan, best_est, best_latency = plan, est, lat
-            if est is not None:
-                self._note_candidate(lat, plan)
-            return lat
 
         # Level 0: the pure-DP completion of the empty prefix, plus the
         # canonical balanced straight pipeline (beam search would otherwise
         # prune straight prefixes, whose early completions score poorly).
-        root_latency = consider(self.complete(0, zeros, ()))
+        root_latency = self._consider(self.complete(0, zeros, ()))
         if self.config.max_stages is None or self.config.max_stages >= g_total:
-            consider(self.straight_plan())
+            self._consider(self.straight_plan())
         if self.config.consider_interleaved:
             for plan in self.interleaved_plans():
-                consider(plan)
+                self._consider(plan)
         frontier: list[_State] = [_State(root_latency, 0, zeros, ())]
-        scanner = (
-            shared_scanner(self.profile, self.cluster)
-            if self.config.use_fast_scan
-            else None
-        )
         # Hoisted enabled-check: scoring-count bookkeeping touches the
         # innermost loops, so the disabled path must skip it entirely.
         track = obs.enabled()
-
-        level_batched = scanner is not None and self.config.level_batch
 
         # Levels advance in j; dedupe on (sorted occupancy, gpus used).
         while frontier:
@@ -552,177 +583,9 @@ class Planner:
                 obs.histogram(
                     "planner.frontier_size", buckets=(1, 4, 16, 64, 256, 1024)
                 ).observe(len(frontier))
+            states_explored += len(frontier)
             next_level: dict[tuple, _State] = {}
-            if level_batched:
-                # Level-batched path: collect every state's allocation rows
-                # (memoized per occupancy), score the whole level in one
-                # kernel call, then replay the scalar insertion order over
-                # the latency matrix.
-                specs: list[tuple[_State, list]] = []
-                spec_rows: list[tuple] = []
-                for state in frontier:
-                    states_explored += 1
-                    if (
-                        self.config.max_stages is not None
-                        and len(state.stages) + 2 > self.config.max_stages
-                    ):
-                        continue
-                    rows, groups, tails, row_key = self._alloc_rows(state.used)
-                    if not rows or state.j + 1 >= n:
-                        continue
-                    if track:
-                        per_repl: dict[int, int] = {}
-                        for placed in rows:
-                            r_count = len(placed.devices)
-                            per_repl[r_count] = per_repl.get(r_count, 0) + 1
-                        sc = self._score_counts
-                        for j2 in range(state.j + 1, n):
-                            for r_count, cnt in per_repl.items():
-                                key = (j2, r_count)
-                                sc[key] = sc.get(key, 0) + cnt
-                    specs.append((state, rows))
-                    spec_rows.append((groups, tails, row_key))
-                if specs:
-                    res = scanner.scan_level(
-                        [
-                            (st.j, st.stages, groups, tails, row_key)
-                            for (st, _rows), (groups, tails, row_key) in zip(
-                                specs, spec_rows
-                            )
-                        ],
-                        global_batch_size=self.gbs,
-                        num_micro_batches=self._m_multi,
-                        enforce_memory=self.config.enforce_memory,
-                        min_stages=self.config.min_stages,
-                        stage_overhead_frac=self.config.stage_overhead_frac,
-                    )
-                    self._plans_evaluated += res.evaluated
-                    self._infeasible += res.infeasible
-                    if track:
-                        obs.histogram(
-                            "planner.level_batch", buckets=(1, 4, 16, 64, 256, 1024)
-                        ).observe(res.latency.shape[0])
-                    winner = self._replay_level(specs, res, next_level)
-                    if winner is not None and winner[0] < best_latency:
-                        lat_v, j2, new_used, stages = winner
-                        best_plan = self.complete(j2, new_used, stages)
-                        best_est = evaluate_plan(self.profile, self.cluster, best_plan)
-                        best_latency = lat_v
-                candidates = list(next_level.values())
-                if (
-                    self.config.beam_width is not None
-                    and len(candidates) > self.config.beam_width
-                ):
-                    if track:
-                        obs.counter("planner.beam_pruned").inc(
-                            len(candidates) - self.config.beam_width
-                        )
-                    candidates = heapq.nsmallest(self.config.beam_width, candidates)
-                frontier = candidates
-                continue
-            for state in frontier:
-                states_explored += 1
-                free_total = g_total - sum(state.used)
-                if scanner is not None:
-                    # Vectorized path: score the whole (allocation, split)
-                    # grid of this state in one kernel call, then replay the
-                    # scalar loop's insertion order over the result matrix so
-                    # beam contents and tie-breaks stay identical.
-                    if (
-                        self.config.max_stages is not None
-                        and len(state.stages) + 2 > self.config.max_stages
-                    ):
-                        continue
-                    rows = []
-                    for m2 in range(1, free_total):
-                        rows.extend(
-                            allocate(self.cluster, state.used, m2, self.config.policies)
-                        )
-                    if not rows or state.j + 1 >= n:
-                        continue
-                    if track:
-                        per_repl: dict[int, int] = {}
-                        for placed in rows:
-                            r_count = len(placed.devices)
-                            per_repl[r_count] = per_repl.get(r_count, 0) + 1
-                        sc = self._score_counts
-                        for j2 in range(state.j + 1, n):
-                            for r_count, cnt in per_repl.items():
-                                key = (j2, r_count)
-                                sc[key] = sc.get(key, 0) + cnt
-                    res = scanner.scan_completions(
-                        state.j,
-                        state.stages,
-                        [p.devices for p in rows],
-                        [tuple(self._free_devices(p.new_used)) for p in rows],
-                        global_batch_size=self.gbs,
-                        num_micro_batches=self._m_multi,
-                        enforce_memory=self.config.enforce_memory,
-                        min_stages=self.config.min_stages,
-                        stage_overhead_frac=self.config.stage_overhead_frac,
-                    )
-                    self._plans_evaluated += res.evaluated
-                    self._infeasible += res.infeasible
-                    lat_rows = res.latency.tolist()
-                    inf = float("inf")
-                    for k in range(len(lat_rows[0])):
-                        j2 = state.j + 1 + k
-                        for r, placed in enumerate(rows):
-                            lat = lat_rows[r][k]
-                            if lat == inf:
-                                continue
-                            key = (
-                                j2,
-                                tuple(sorted(placed.new_used)),
-                                sum(placed.new_used),
-                            )
-                            cur = next_level.get(key)
-                            improves_best = lat < best_latency
-                            wins_slot = cur is None or lat < cur.latency
-                            keeps_topk = self._topk_accepts(lat)
-                            if not (improves_best or wins_slot or keeps_topk):
-                                continue
-                            stages = state.stages + (
-                                Stage(state.j, j2, placed.devices),
-                            )
-                            if keeps_topk:
-                                self._note_candidate(
-                                    lat, (j2, placed.new_used, stages)
-                                )
-                            if improves_best:
-                                best_plan = self.complete(j2, placed.new_used, stages)
-                                best_est = evaluate_plan(
-                                    self.profile, self.cluster, best_plan
-                                )
-                                best_latency = lat
-                            if wins_slot:
-                                next_level[key] = _State(
-                                    lat, j2, placed.new_used, stages
-                                )
-                    continue
-                for j2 in range(state.j + 1, n):
-                    for m2 in range(1, free_total):
-                        for placed in allocate(
-                            self.cluster, state.used, m2, self.config.policies
-                        ):
-                            stages = state.stages + (
-                                Stage(state.j, j2, placed.devices),
-                            )
-                            if (
-                                self.config.max_stages is not None
-                                and len(stages) + 1 > self.config.max_stages
-                            ):
-                                continue
-                            lat = consider(self.complete(j2, placed.new_used, stages))
-                            if track:
-                                sc = self._score_counts
-                                sc[(j2, m2)] = sc.get((j2, m2), 0) + 1
-                            if lat == float("inf"):
-                                continue
-                            key = (j2, tuple(sorted(placed.new_used)), sum(placed.new_used))
-                            cur = next_level.get(key)
-                            if cur is None or lat < cur.latency:
-                                next_level[key] = _State(lat, j2, placed.new_used, stages)
+            self._expand_level(frontier, next_level, track)
             candidates = list(next_level.values())
             if self.config.beam_width is not None and len(candidates) > self.config.beam_width:
                 if track:
@@ -732,15 +595,15 @@ class Planner:
                 candidates = heapq.nsmallest(self.config.beam_width, candidates)
             frontier = candidates
 
-        if best_plan is None or best_est is None:
+        if self._best_plan is None or self._best_est is None:
             raise RuntimeError(
                 f"no feasible plan found for {self.profile.graph.name} on "
                 f"{self.cluster!r} at GBS={self.gbs} (all candidates exceed "
                 f"device memory)"
             )
         return PlanResult(
-            plan=best_plan,
-            estimate=best_est,
+            plan=self._best_plan,
+            estimate=self._best_est,
             states_explored=states_explored,
             plans_evaluated=self._plans_evaluated,
             infeasible_plans=self._infeasible,

@@ -15,13 +15,15 @@ Beyond plans, this module round-trips every *input* of a planner problem —
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import fields as dataclass_fields
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 from repro.cluster.device import GPUSpec
 from repro.cluster.machine import Machine
 from repro.cluster.topology import Cluster, LinkSpec
+from repro.core.placement import POLICIES
 from repro.core.plan import ParallelPlan, Stage
 from repro.models.graph import LayerGraph, LayerSpec
 
@@ -109,14 +111,51 @@ def planner_config_to_dict(config) -> dict[str, Any]:
     return out
 
 
+def _int_at_least(low: int, nullable: bool = False) -> Callable[[Any], bool]:
+    def ok(v: Any) -> bool:
+        if v is None:
+            return nullable
+        return isinstance(v, int) and not isinstance(v, bool) and v >= low
+
+    return ok
+
+
+def _is_bool(v: Any) -> bool:
+    return isinstance(v, bool)
+
+
+#: Per-field value checks: (predicate, description of a valid value).
+_PLANNER_FIELD_CHECKS: dict[str, tuple[Callable[[Any], bool], str]] = {
+    "micro_batch_size": (_int_at_least(1, nullable=True), "an integer >= 1 or null"),
+    "beam_width": (_int_at_least(1, nullable=True), "an integer >= 1 or null"),
+    "policies": (
+        lambda v: isinstance(v, tuple) and bool(v)
+        and all(isinstance(p, str) and p in POLICIES for p in v),
+        f"a non-empty list of {sorted(POLICIES)}",
+    ),
+    "max_stages": (_int_at_least(1, nullable=True), "an integer >= 1 or null"),
+    "min_stages": (_int_at_least(1), "an integer >= 1"),
+    "enforce_memory": (_is_bool, "a boolean"),
+    "stage_overhead_frac": (
+        lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)
+        and math.isfinite(v) and v >= 0,
+        "a finite number >= 0",
+    ),
+    "consider_interleaved": (_is_bool, "a boolean"),
+    "keep_top_k": (_int_at_least(0), "an integer >= 0"),
+}
+
+
 def planner_config_from_dict(data: dict[str, Any]):
     """Rebuild a :class:`~repro.core.planner.PlannerConfig` from a dict.
 
     Only known fields are accepted — an unknown key raises ``ValueError``
     rather than being silently dropped, so a client typo cannot produce a
-    plan searched under different knobs than requested.  Omitted fields
-    take their defaults; JSON lists are coerced back to tuples where the
-    dataclass default is a tuple (``policies``).
+    plan searched under different knobs than requested.  Each value is
+    type- and range-checked (a bad one raises ``ValueError`` naming the
+    field) so it cannot crash or silently degenerate the search.  Omitted
+    fields take their defaults; JSON lists are coerced back to tuples where
+    the dataclass default is a tuple (``policies``).
     """
     from repro.core.planner import PlannerConfig
 
@@ -131,6 +170,9 @@ def planner_config_from_dict(data: dict[str, Any]):
     for name, value in data.items():
         if isinstance(value, list):
             value = tuple(value)
+        ok, want = _PLANNER_FIELD_CHECKS[name]
+        if not ok(value):
+            raise ValueError(f"PlannerConfig.{name} must be {want}, got {value!r}")
         kwargs[name] = value
     return PlannerConfig(**kwargs)
 

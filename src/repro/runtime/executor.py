@@ -29,10 +29,6 @@ from repro.cluster.topology import Cluster
 from repro.cluster.transfer import transfer_time
 from repro.core.plan import ParallelPlan
 from repro.core.profiler import ModelProfile
-from repro.core.scheduler import (
-    StageSchedule,
-    validate_schedule,
-)
 from repro.runtime.memory import MemoryModel, OutOfMemoryError
 from repro.schedules.base import PipeSchedule
 from repro.schedules.registry import build_schedule
@@ -66,12 +62,9 @@ class ExecutionResult:
     iteration_time: float
     trace: Trace
     memory: MemoryTimeline
-    schedule: StageSchedule
+    #: The schedule IR the iteration was built from.
+    schedule: PipeSchedule
     recompute: bool
-    #: The typed schedule IR the iteration was built from, when the
-    #: executor was given a registry spec or a :class:`PipeSchedule`
-    #: (``None`` for raw legacy task lists).
-    pipe_schedule: "PipeSchedule | None" = None
 
     @property
     def throughput(self) -> float:
@@ -111,7 +104,7 @@ class PipelineExecutor:
         profile: ModelProfile,
         cluster: Cluster,
         plan: ParallelPlan,
-        schedule: str | StageSchedule | PipeSchedule = "dapple",
+        schedule: str | PipeSchedule = "dapple",
         warmup_policy: str = "PA",
         recompute: bool = False,
         enforce_memory: bool = True,
@@ -150,7 +143,6 @@ class PipelineExecutor:
         else:
             d_caps = [m] * s
 
-        self.pipe_schedule: PipeSchedule | None = None
         if isinstance(schedule, str):
             # Resolve any registry spec ("dapple", "gpipe", "interleaved:v=2",
             # "zb2bp:w=0.4", ...).  Unknown names raise a ValueError listing
@@ -159,46 +151,39 @@ class PipelineExecutor:
             # chains form a cross-stage cycle (an upstream stage waiting on a
             # backward its downstream neighbour schedules after a forward the
             # upstream has not released yet).
-            cap = min(d_caps)
-            self.pipe_schedule = build_schedule(
+            schedule = build_schedule(
                 schedule,
                 plan=plan,
                 num_micro_batches=m,
                 warmup_policy=warmup_policy,
-                max_in_memory=cap,
+                max_in_memory=min(d_caps),
             )
-        elif isinstance(schedule, PipeSchedule):
-            self.pipe_schedule = schedule
-
-        if self.pipe_schedule is not None:
-            if self.pipe_schedule.num_stages != s:
-                raise ValueError(
-                    f"schedule addresses {self.pipe_schedule.num_stages} "
-                    f"stages but the plan has {s}"
-                )
-            if self.pipe_schedule.num_micro_batches != m:
-                raise ValueError(
-                    f"schedule covers {self.pipe_schedule.num_micro_batches} "
-                    f"micro-batches but the plan has {m}"
-                )
-            self.schedule = self.pipe_schedule.to_stage_schedule()
-            if enforce_memory:
-                # The IR declares its per-stage residency high-water mark;
-                # reject schedules whose peak cannot fit the stage's devices
-                # (GPipe at large M, interleaved at large v, a too-deep PB
-                # warm-up, ...) before building the graph.
-                for i, hw in enumerate(self.pipe_schedule.memory_high_water()):
-                    sm = self.stage_mem[i]
-                    if sm.peak_bytes(hw) > sm.capacity_bytes:
-                        raise OutOfMemoryError(
-                            f"{self.pipe_schedule.name} schedule stage {i}: "
-                            f"{hw} resident micro-batches need "
-                            f"{sm.peak_bytes(hw) / 2**30:.1f} GiB > "
-                            f"{sm.capacity_bytes / 2**30:.1f} GiB"
-                        )
-        else:
-            self.schedule = schedule
-        validate_schedule(self.schedule, m)
+        if schedule.num_stages != s:
+            raise ValueError(
+                f"schedule addresses {schedule.num_stages} "
+                f"stages but the plan has {s}"
+            )
+        if schedule.num_micro_batches != m:
+            raise ValueError(
+                f"schedule covers {schedule.num_micro_batches} "
+                f"micro-batches but the plan has {m}"
+            )
+        if enforce_memory:
+            # The IR declares its per-stage residency high-water mark;
+            # reject schedules whose peak cannot fit the stage's devices
+            # (GPipe at large M, interleaved at large v, a too-deep PB
+            # warm-up, ...) before building the graph.
+            for i, hw in enumerate(schedule.memory_high_water()):
+                sm = self.stage_mem[i]
+                if sm.peak_bytes(hw) > sm.capacity_bytes:
+                    raise OutOfMemoryError(
+                        f"{schedule.name} schedule stage {i}: "
+                        f"{hw} resident micro-batches need "
+                        f"{sm.peak_bytes(hw) / 2**30:.1f} GiB > "
+                        f"{sm.capacity_bytes / 2**30:.1f} GiB"
+                    )
+        schedule.validate()
+        self.schedule = schedule
 
     # ------------------------------------------------------------------ #
     # Graph construction
@@ -232,6 +217,7 @@ class PipelineExecutor:
         prof = self.profile
         m = plan.num_micro_batches
         mbs = plan.micro_batch_size
+        streams = self.schedule.streams()
         first_ops: dict[int, list[str]] = {}
         final_ops: dict[int, list[str]] = {}
         last_forward_ops: dict[int, list[str]] = {}
@@ -248,11 +234,7 @@ class PipelineExecutor:
 
         # Backward split: BI carries this fraction of the combined backward
         # time, BW the rest (only consulted for schedules emitting BI/BW).
-        w_frac = (
-            self.pipe_schedule.backward_weight_fraction
-            if self.pipe_schedule is not None
-            else 0.5
-        )
+        w_frac = self.schedule.backward_weight_fraction
 
         # Compute ops per stage replica.  A schedule may impose its own
         # dispatch priorities (interleaved schedules order virtual stages
@@ -264,10 +246,8 @@ class PipelineExecutor:
             sm = self.stage_mem[i]
             resident = sm.per_microbatch_bytes
             transient = sm.transient_backward_bytes
-            prios = None
-            if self.pipe_schedule is not None:
-                prios = self.pipe_schedule.stage_priorities(i)
-            for pos, task in enumerate(self.schedule[i]):
+            prios = self.schedule.stage_priorities(i)
+            for pos, task in enumerate(streams[i]):
                 prio = priority_base + (prios[pos] if prios is not None else pos)
                 for r, d in enumerate(stage.devices):
                     slow = self.device_slowdown.get(d.global_id, 1.0)
@@ -336,7 +316,7 @@ class PipelineExecutor:
             heads = []
             for r in range(stage.replicas):
                 prev = None
-                for task in self.schedule[i]:
+                for task in streams[i]:
                     name = f"{prefix}{task.kind}/s{i}/m{task.micro_batch}/r{r}"
                     if prev is not None:
                         g.add_dep(prev, name)
@@ -350,7 +330,7 @@ class PipelineExecutor:
         # gradient; the releasing op ("B", or "BW" when split) frees the
         # activations and contributes the weight gradients.
         split = [
-            {t.micro_batch for t in self.schedule[i] if t.kind == "BI"}
+            {t.micro_batch for t in streams[i] if t.kind == "BI"}
             for i in range(plan.num_stages)
         ]
 
@@ -420,13 +400,13 @@ class PipelineExecutor:
         # (for split backwards: the weight gradient exists only once BW ran).
         for i, stage in enumerate(plan.stages):
             last_rel = next(
-                t for t in reversed(self.schedule[i]) if t.kind in ("B", "BW")
+                t for t in reversed(streams[i]) if t.kind in ("B", "BW")
             )
             last_backwards = [
                 f"{prefix}{last_rel.kind}/s{i}/m{last_rel.micro_batch}/r{r}"
                 for r in range(stage.replicas)
             ]
-            last_fwd_mb = max(t.micro_batch for t in self.schedule[i] if t.kind == "F")
+            last_fwd_mb = max(t.micro_batch for t in streams[i] if t.kind == "F")
             last_forward_ops[i] = [
                 f"{prefix}F/s{i}/m{last_fwd_mb}/r{r}" for r in range(stage.replicas)
             ]
@@ -469,7 +449,6 @@ class PipelineExecutor:
             memory=res.memory,
             schedule=self.schedule,
             recompute=self.recompute,
-            pipe_schedule=self.pipe_schedule,
         )
 
 
@@ -477,7 +456,7 @@ def execute_plan(
     profile: ModelProfile,
     cluster: Cluster,
     plan: ParallelPlan,
-    schedule: str | StageSchedule | PipeSchedule = "dapple",
+    schedule: str | PipeSchedule = "dapple",
     warmup_policy: str = "PA",
     recompute: bool = False,
     enforce_memory: bool = True,

@@ -2,13 +2,20 @@
 
 ``repro.schedules`` is the single place schedules live: the task
 vocabulary (:mod:`~repro.schedules.tasks`), the :class:`PipeSchedule`
-abstract IR (:mod:`~repro.schedules.base`), four concrete schedules
+abstract IR and the helpers over its per-stage task streams
+(:mod:`~repro.schedules.base`), four concrete schedules
 (:mod:`~repro.schedules.library`), and the name registry every CLI/serve
 surface resolves ``--schedule`` specs through
 (:mod:`~repro.schedules.registry`).
 """
 
-from repro.schedules.base import PipeSchedule
+from repro.schedules.base import (
+    PipeSchedule,
+    max_resident_micro_batches,
+    validate_schedule,
+    warmup_counts,
+    warmup_prefix_length,
+)
 from repro.schedules.library import (
     Dapple1F1BSchedule,
     GPipeSchedule,
@@ -36,7 +43,6 @@ from repro.schedules.tasks import (
     RecvGrad,
     SendAct,
     SendGrad,
-    task_from_kind,
 )
 
 __all__ = [
@@ -63,5 +69,8 @@ __all__ = [
     "COMPUTE_KINDS",
     "COMM_KINDS",
     "RELEASE_KINDS",
-    "task_from_kind",
+    "warmup_counts",
+    "validate_schedule",
+    "warmup_prefix_length",
+    "max_resident_micro_batches",
 ]

@@ -5,9 +5,9 @@ Four :class:`~repro.schedules.base.PipeSchedule` implementations:
 * :class:`GPipeSchedule` — all forwards, then all backwards in reverse
   (paper Fig. 3a); peak residency grows with ``M``.
 * :class:`Dapple1F1BSchedule` — the paper's early-backward 1F1B schedule
-  (Fig. 3b).  Its task streams are *bit-identical* to the legacy
-  :func:`repro.core.scheduler.dapple_schedule` (it delegates to it), a
-  property the differential test battery enforces.
+  (Fig. 3b): ``Ki`` warm-up forwards on stage ``i``, then strictly one
+  backward per forward, then the backward tail.  Peak residency is
+  bounded by ``Ki``, *independent of M*.
 * :class:`Interleaved1F1BSchedule` — Megatron-style interleaved 1F1B over
   virtual stages: each of ``P`` devices hosts ``v`` layer chunks, shrinking
   the per-chunk pipeline fill so bubbles drop at small ``M``.  Requires an
@@ -27,15 +27,13 @@ from __future__ import annotations
 
 from typing import Iterator, Sequence
 
-from repro.core.scheduler import dapple_schedule, gpipe_schedule, warmup_counts
-from repro.schedules.base import PipeSchedule
+from repro.schedules.base import PipeSchedule, warmup_counts
 from repro.schedules.tasks import (
     Backward,
     BackwardInput,
     BackwardWeight,
     Forward,
     PipeTask,
-    task_from_kind,
 )
 
 __all__ = [
@@ -52,16 +50,15 @@ class GPipeSchedule(PipeSchedule):
     name = "gpipe"
 
     def stage_stream(self, stage: int) -> Iterator[PipeTask]:
-        legacy = gpipe_schedule(self.num_stages, self.num_micro_batches)[stage]
-        for t in legacy:
-            yield task_from_kind(t.kind, t.micro_batch)
+        m = self.num_micro_batches
+        for mb in range(m):
+            yield Forward(mb)
+        for mb in reversed(range(m)):
+            yield Backward(mb)
 
 
-class Dapple1F1BSchedule(PipeSchedule):
-    """DAPPLE early-backward 1F1B (paper Fig. 3b), bit-identical to the
-    legacy ``dapple_schedule`` task streams."""
-
-    name = "dapple"
+class _WarmupSchedule(PipeSchedule):
+    """A schedule whose stage ``i`` opens with ``Ki`` warm-up forwards."""
 
     def __init__(
         self,
@@ -73,22 +70,31 @@ class Dapple1F1BSchedule(PipeSchedule):
         super().__init__(num_stages, num_micro_batches)
         self.warmup_policy = warmup_policy
         self.max_in_memory = max_in_memory
-        # Delegate to the legacy generator — the bit-identity anchor.
-        self._legacy = dapple_schedule(
+        self._ks = warmup_counts(
             num_stages, num_micro_batches,
             policy=warmup_policy, max_in_memory=max_in_memory,
         )
 
-    def stage_stream(self, stage: int) -> Iterator[PipeTask]:
-        for t in self._legacy[stage]:
-            yield task_from_kind(t.kind, t.micro_batch)
-
     def warmup_counts(self) -> list[int]:
         """Per-stage warm-up depths ``Ki`` this schedule was built with."""
-        return warmup_counts(
-            self.num_stages, self.num_micro_batches,
-            policy=self.warmup_policy, max_in_memory=self.max_in_memory,
-        )
+        return list(self._ks)
+
+
+class Dapple1F1BSchedule(_WarmupSchedule):
+    """DAPPLE early-backward 1F1B (paper Fig. 3b)."""
+
+    name = "dapple"
+
+    def stage_stream(self, stage: int) -> Iterator[PipeTask]:
+        m = self.num_micro_batches
+        k = self._ks[stage]
+        for mb in range(k):
+            yield Forward(mb)
+        for mb in range(m - k):
+            yield Backward(mb)
+            yield Forward(mb + k)
+        for mb in range(m - k, m):
+            yield Backward(mb)
 
 
 class Interleaved1F1BSchedule(PipeSchedule):
@@ -196,7 +202,7 @@ class Interleaved1F1BSchedule(PipeSchedule):
         )
 
 
-class ZeroBubble2BPSchedule(PipeSchedule):
+class ZeroBubble2BPSchedule(_WarmupSchedule):
     """Zero-bubble 1F1B with the backward split into BI and BW phases.
 
     Per stage ``i`` with warm-up depth ``Ki`` (same PA/PB policies as
@@ -217,18 +223,12 @@ class ZeroBubble2BPSchedule(PipeSchedule):
         max_in_memory: int | None = None,
         weight_fraction: float = 0.5,
     ):
-        super().__init__(num_stages, num_micro_batches)
+        super().__init__(num_stages, num_micro_batches, warmup_policy, max_in_memory)
         if not 0.0 < weight_fraction < 1.0:
             raise ValueError(
                 f"weight_fraction must be in (0, 1), got {weight_fraction}"
             )
-        self.warmup_policy = warmup_policy
-        self.max_in_memory = max_in_memory
         self.backward_weight_fraction = weight_fraction
-        self._ks = warmup_counts(
-            num_stages, num_micro_batches,
-            policy=warmup_policy, max_in_memory=max_in_memory,
-        )
 
     def stage_stream(self, stage: int) -> Iterator[PipeTask]:
         m = self.num_micro_batches
@@ -243,10 +243,6 @@ class ZeroBubble2BPSchedule(PipeSchedule):
             yield BackwardInput(mb)
         for mb in range(m - k, m):
             yield BackwardWeight(mb)
-
-    def warmup_counts(self) -> list[int]:
-        """Per-stage warm-up depths ``Ki`` this schedule was built with."""
-        return list(self._ks)
 
     def describe(self) -> str:
         return (

@@ -117,17 +117,3 @@ COMPUTE_KINDS = frozenset({"F", "B", "BI", "BW"})
 COMM_KINDS = frozenset({"recv_act", "send_act", "recv_grad", "send_grad"})
 #: Kinds whose completion releases a micro-batch's resident activations.
 RELEASE_KINDS = frozenset({"B", "BW"})
-
-_BY_KIND = {
-    cls.kind: cls
-    for cls in (Forward, Backward, BackwardInput, BackwardWeight,
-                RecvAct, SendAct, RecvGrad, SendGrad)
-}
-
-
-def task_from_kind(kind: str, micro_batch: int) -> PipeTask:
-    """Build the typed task for a ``kind`` code (inverse of ``task.kind``)."""
-    try:
-        return _BY_KIND[kind](micro_batch)
-    except KeyError:
-        raise ValueError(f"unknown pipe-task kind {kind!r}") from None

@@ -7,8 +7,8 @@ Implements the paper's execution semantics numerically, in one process:
   *replicated*, in which case every micro-batch is split into even slices
   across the replicas (paper Fig. 8a) — each replica holds its own
   parameter copy;
-* tasks run in the early-backward (1F1B) order produced by
-  :func:`repro.core.scheduler.dapple_schedule`, respecting the same
+* tasks run in the early-backward (1F1B) order of
+  :class:`repro.schedules.Dapple1F1BSchedule`, respecting the same
   data dependencies the runtime simulator enforces;
 * per-replica gradients accumulate over micro-batches, are AllReduced
   (summed) across replicas, and applied once per global batch
@@ -28,7 +28,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.core.scheduler import StageSchedule, dapple_schedule, validate_schedule
+from repro.schedules import Dapple1F1BSchedule
 from repro.training.autograd import Tensor
 from repro.training.layers import Module, Sequential
 from repro.training.optim import Optimizer
@@ -107,10 +107,10 @@ class PipelineTrainer:
                 [copy.deepcopy(stage) for _ in range(self.replicas[s])]
             )
 
-        self.schedule: StageSchedule = dapple_schedule(
-            self.num_stages, num_micro_batches, policy=warmup_policy
+        self.schedule = Dapple1F1BSchedule(
+            self.num_stages, num_micro_batches, warmup_policy=warmup_policy
         )
-        validate_schedule(self.schedule, num_micro_batches)
+        self.schedule.validate()
 
     # ------------------------------------------------------------------ #
     # One pipelined step
@@ -141,13 +141,14 @@ class PipelineTrainer:
         upstream_grads: dict[tuple[int, int], np.ndarray] = {}
         total_loss = 0.0
 
+        streams = self.schedule.streams()
         cursors = [0] * self.num_stages
         progressed = True
         while progressed:
             progressed = False
             for s in range(self.num_stages):
-                while cursors[s] < len(self.schedule[s]):
-                    task = self.schedule[s][cursors[s]]
+                while cursors[s] < len(streams[s]):
+                    task = streams[s][cursors[s]]
                     if task.kind == "F":
                         if (s, task.micro_batch) not in stage_inputs:
                             break  # upstream forward not done yet
@@ -163,7 +164,7 @@ class PipelineTrainer:
                     cursors[s] += 1
                     progressed = True
 
-        if any(c < len(self.schedule[s]) for s, c in enumerate(cursors)):
+        if any(c < len(streams[s]) for s, c in enumerate(cursors)):
             raise RuntimeError("pipeline schedule deadlocked (dependency bug)")
 
         grads = self._allreduce()

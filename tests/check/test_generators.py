@@ -7,7 +7,7 @@ from hypothesis import given, settings
 
 from repro.check import generate_cases, random_case, verify_execution
 from repro.check.generators import case_strategy, random_schedule, schedule_strategy
-from repro.core.scheduler import validate_schedule
+from repro.schedules import validate_schedule
 
 
 class TestRandomCase:

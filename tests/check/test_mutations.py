@@ -53,19 +53,22 @@ class TestCorruptedWarmup:
         # the warm-up prefix 2 — still a valid, deadlock-free schedule
         # (warm-up depths stay non-increasing along the pipeline), but it
         # no longer matches the PA policy count.
-        sched = tiny_executor.schedule[-1]
+        last = tiny_executor.schedule.num_stages - 1
+        sched = tiny_executor.schedule.stage_tasks(last)
         assert (sched[1].kind, sched[2].kind) == ("B", "F")
         sched[1], sched[2] = sched[2], sched[1]
         report = _check(tiny_executor, tiny_executor.build_graph())
         assert not report.ok
         bad = [v for v in report.violations if v.invariant == "warmup-count"]
-        assert bad and bad[0].stage == len(tiny_executor.schedule) - 1
+        assert bad and bad[0].stage == last
         assert "Ki=1" in bad[0].message
 
     def test_trace_order_follows_the_mutation(self, tiny_executor):
         # The executed trace matches the (mutated) schedule, so only the
         # schedule-shape invariants fire — not trace-schedule-order.
-        sched = tiny_executor.schedule[-1]
+        sched = tiny_executor.schedule.stage_tasks(
+            tiny_executor.schedule.num_stages - 1
+        )
         sched[1], sched[2] = sched[2], sched[1]
         report = _check(tiny_executor, tiny_executor.build_graph())
         kinds = {v.invariant for v in report.violations}

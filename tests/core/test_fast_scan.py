@@ -1,14 +1,27 @@
-"""The vectorized two-stage scan must agree with evaluate_plan exactly."""
+"""The level scan kernel's two-stage completions must agree with
+evaluate_plan exactly."""
 
 import numpy as np
 import pytest
 
 from repro.cluster import config_a, config_b, config_c
 from repro.core import profile_model
-from repro.core.fast_scan import best_two_stage_split, scan_two_stage
+from repro.core.fast_scan import CompletionScanner
 from repro.core.latency import evaluate_plan
 from repro.core.plan import ParallelPlan, Stage
 from repro.models import bert48, gnmt16, uniform_model, vgg19
+
+
+def scan_latencies(prof, cluster, gbs, g0, g1, m):
+    """``scan_level`` latencies of ``[0, j)`` on ``g0`` + ``[j, N)`` on ``g1``."""
+    res = CompletionScanner(prof, cluster).scan_level(
+        [(0, (), [tuple(g0)], [tuple(g1)])],
+        global_batch_size=gbs,
+        num_micro_batches=m,
+        enforce_memory=False,
+    )
+    assert list(res.splits) == list(range(1, prof.num_layers))
+    return res.latency[0]
 
 
 def reference_latencies(prof, cluster, gbs, g0, g1, m):
@@ -44,18 +57,18 @@ class TestAgreement:
         cluster = cluster_fn()
         g0 = cluster.devices[:split]
         g1 = cluster.devices[split:]
-        fast = scan_two_stage(prof, cluster, gbs, g0, g1, m)
+        fast = scan_latencies(prof, cluster, gbs, g0, g1, m)
         ref = reference_latencies(prof, cluster, gbs, g0, g1, m)
-        np.testing.assert_allclose(fast, ref, rtol=1e-9, atol=1e-12)
+        np.testing.assert_array_equal(fast, ref)  # bit-identical
 
     def test_best_split_matches_argmin(self):
         prof = profile_model(gnmt16())
         cluster = config_a(2)
         g0, g1 = cluster.devices[:8], cluster.devices[8:]
-        j, lat = best_two_stage_split(prof, cluster, 1024, g0, g1, 16)
+        fast = scan_latencies(prof, cluster, 1024, g0, g1, 16)
         ref = reference_latencies(prof, cluster, 1024, g0, g1, 16)
-        assert j == int(np.argmin(ref)) + 1
-        assert lat == pytest.approx(ref.min())
+        assert int(np.argmin(fast)) == int(np.argmin(ref))
+        assert fast.min() == ref.min()
 
 
 class TestSpeed:
@@ -67,7 +80,7 @@ class TestSpeed:
         g0, g1 = cluster.devices[:8], cluster.devices[8:]
         t0 = time.perf_counter()
         for _ in range(20):
-            scan_two_stage(prof, cluster, 64, g0, g1, 32)
+            scan_latencies(prof, cluster, 64, g0, g1, 32)
         fast = (time.perf_counter() - t0) / 20
         t0 = time.perf_counter()
         reference_latencies(prof, cluster, 64, g0, g1, 32)

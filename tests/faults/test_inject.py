@@ -123,3 +123,18 @@ class TestExecutePlanFaulted:
         assert [
             (e.name, e.start, e.end) for e in ref.result.trace.events
         ] == [(e.name, e.start, e.end) for e in fast.result.trace.events]
+
+    @pytest.mark.parametrize("schedule", ["dapple", "gpipe", "zb2bp:w=0.4"])
+    def test_faulted_result_carries_the_schedule(self, schedule):
+        prof, cluster, plan = small_setup()
+        clean = execute_plan(prof, cluster, plan, schedule=schedule)
+        faulted = execute_plan_faulted(
+            prof, cluster, plan, (SlowDevice(factor=1.5),), seed=1,
+            schedule=schedule,
+        ).result
+        assert faulted.schedule.name == clean.schedule.name
+        assert faulted.schedule.streams() == clean.schedule.streams()
+        assert (
+            faulted.schedule.backward_weight_fraction
+            == clean.schedule.backward_weight_fraction
+        )

@@ -80,7 +80,7 @@ class TestScheduleInvariantsOnRealModels:
     def test_dapple_memory_bound_holds_in_simulation(self):
         """Simulated peak equals the memory model's closed-form prediction."""
         from repro.runtime.executor import PipelineExecutor
-        from repro.core.scheduler import max_resident_micro_batches
+        from repro.schedules import max_resident_micro_batches
 
         prof = profile_model(get_model("bert48"))
         clu = config_b(2)
@@ -90,7 +90,7 @@ class TestScheduleInvariantsOnRealModels:
         ex = PipelineExecutor(prof, clu, plan)
         res = ex.run()
         for i, stage in enumerate(plan.stages):
-            k = max_resident_micro_batches(ex.schedule[i])
+            k = max_resident_micro_batches(ex.schedule.stage_tasks(i))
             predicted = ex.stage_mem[i].peak_bytes(k)
             for d in stage.devices:
                 assert res.memory.peak(d.resource_key) <= predicted * 1.001

@@ -5,13 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.check.generators import ExplicitSchedule
 from repro.cluster import config_a, config_b
 from repro.core import profile_model
 from repro.core.plan import ParallelPlan, Stage
-from repro.core.scheduler import MicroBatchTask, validate_schedule
 from repro.core.serialization import plan_from_dict, plan_to_dict
 from repro.models import uniform_model
 from repro.runtime import execute_plan
+from repro.schedules import Backward, Forward, validate_schedule
+from tests.schedules.test_differential import one_f_one_b
 
 
 def random_consistent_schedule(rng: np.random.Generator, num_stages: int, m: int):
@@ -24,8 +26,6 @@ def random_consistent_schedule(rng: np.random.Generator, num_stages: int, m: int
     stage warm-up counts ``K_0 >= K_1 >= ... >= K_last`` — the structure
     DAPPLE's ``Ki = min(S−i, D)`` guarantees — are always consistent.
     """
-    from repro.core.scheduler import _one_f_one_b
-
     ks = []
     prev = m
     for i in range(num_stages):
@@ -33,7 +33,7 @@ def random_consistent_schedule(rng: np.random.Generator, num_stages: int, m: int
         k = int(rng.integers(1, upper + 1))
         ks.append(k)
         prev = k
-    return [_one_f_one_b(m, k) for k in ks]
+    return [one_f_one_b(m, k) for k in ks]
 
 
 class TestScheduleFuzz:
@@ -49,13 +49,11 @@ class TestScheduleFuzz:
         stages = [Stage(0, 2, (cluster.device(0),)), Stage(2, 4, (cluster.device(1),))]
         plan = ParallelPlan(model, stages, 2, 2)
         bad = [
-            [MicroBatchTask("F", 0), MicroBatchTask("B", 0),
-             MicroBatchTask("F", 1), MicroBatchTask("B", 1)],  # K=1 upstream
-            [MicroBatchTask("F", 0), MicroBatchTask("F", 1),
-             MicroBatchTask("B", 0), MicroBatchTask("B", 1)],  # K=2 downstream
+            [Forward(0), Backward(0), Forward(1), Backward(1)],  # K=1 upstream
+            [Forward(0), Forward(1), Backward(0), Backward(1)],  # K=2 downstream
         ]
         with pytest.raises(ValueError, match="cycle"):
-            execute_plan(prof, cluster, plan, schedule=bad)
+            execute_plan(prof, cluster, plan, schedule=ExplicitSchedule(bad, 2))
 
     @given(
         num_stages=st.integers(min_value=1, max_value=4),
@@ -80,7 +78,7 @@ class TestScheduleFuzz:
             for i in range(num_stages)
         ]
         plan = ParallelPlan(model, stages, m, m)
-        res = execute_plan(prof, cluster, plan, schedule=sched)
+        res = execute_plan(prof, cluster, plan, schedule=ExplicitSchedule(sched, m))
         assert res.iteration_time > 0
         f_count = sum(1 for e in res.trace.events if e.tags.get("kind") == "F")
         assert f_count == num_stages * m

@@ -5,7 +5,7 @@ import pytest
 
 import repro.obs as obs
 from repro.cluster import config_b
-from repro.core import Planner, PlannerConfig, profile_model
+from repro.core import Planner, profile_model
 from repro.core.plan import ParallelPlan, Stage
 from repro.models import get_model, uniform_model
 from repro.runtime import execute_plan
@@ -31,24 +31,24 @@ class TestPlannerMetrics:
         assert reg.counter("planner.infeasible_plans").value == result.infeasible_plans
 
     def test_per_split_repl_scoring_counts_match_scalar_path(self, small_problem):
-        """The fast-scan path counts candidate scorings analytically (one
-        outer product per state); the scalar path counts one by one.  Both
-        must agree series-for-series."""
+        """The level-batched search counts candidate scorings analytically
+        (one outer product per state); the scalar oracle counts one by one.
+        Both must agree series-for-series."""
+        from repro.check import ScalarPlanner
+
         prof, cluster = small_problem
 
-        def counts(use_fast_scan):
+        def counts(planner_cls):
             obs.enable(reset_state=True)
-            Planner(
-                prof, cluster, 16, PlannerConfig(use_fast_scan=use_fast_scan)
-            ).search()
+            planner_cls(prof, cluster, 16).search()
             return {
                 (m.labels, m.value)
                 for m in obs.registry().snapshot()
                 if m.name == "planner.scored"
             }
 
-        fast = counts(True)
-        scalar = counts(False)
+        fast = counts(Planner)
+        scalar = counts(ScalarPlanner)
         assert fast == scalar
         assert fast  # non-empty: the search did score candidates
 

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.check.generators import random_case, random_schedule
-from repro.core.scheduler import max_resident_micro_batches
+from repro.schedules import max_resident_micro_batches
 from repro.runtime import execute_plan
 from repro.runtime.memory import MemoryModel, StageMemory
 from repro.sim.engine import MemEffect, Op, Simulator, TaskGraph

@@ -1,13 +1,13 @@
-"""Differential conformance: the IR against the legacy scheduler and the
-full invariant battery, over seeded random pipeline instances.
+"""Differential conformance: the IR against a closed-form reference and
+the full invariant battery, over seeded random pipeline instances.
 
 Two properties, each run over :mod:`repro.check.generators` cases:
 
-1. **Bit-identity** — ``Dapple1F1BSchedule`` lowers to exactly the task
-   stream ``repro.core.scheduler.dapple_schedule`` emits, for every
-   random ``(S, M, policy, D)`` tuple.  This is the refactor's safety
-   net: the executor now consumes the IR, so any drift here would change
-   every committed result table.
+1. **Bit-identity** — ``Dapple1F1BSchedule`` and ``GPipeSchedule`` emit
+   exactly the task streams of the closed-form reference below (paper
+   Fig. 3), for every random ``(S, M, policy, D)`` tuple.  The executor
+   lowers these streams directly, so any drift here would change every
+   committed result table.
 2. **Battery** — every registered schedule, executed on a generated case,
    passes ``check_execution`` with zero violations on both simulation
    engines.
@@ -20,8 +20,13 @@ import pytest
 
 from repro.check import verify_execution
 from repro.check.generators import generate_cases, random_case
-from repro.core.scheduler import dapple_schedule
-from repro.schedules import Dapple1F1BSchedule, schedule_names
+from repro.schedules import (
+    Backward,
+    Dapple1F1BSchedule,
+    Forward,
+    GPipeSchedule,
+    schedule_names,
+)
 
 try:
     from hypothesis import HealthCheck, given, settings
@@ -36,13 +41,39 @@ needs_hypothesis = pytest.mark.skipif(
 )
 
 
-def _ir_equals_legacy(s, m, policy, cap):
+def one_f_one_b(m, k):
+    """One stage's 1F1B stream: K warm-up forwards, B/F pairs, B tail."""
+    return (
+        [Forward(mb) for mb in range(k)]
+        + [t for mb in range(m - k) for t in (Backward(mb), Forward(mb + k))]
+        + [Backward(mb) for mb in range(m - k, m)]
+    )
+
+
+def reference_1f1b(s, m, policy="PA", cap=None):
+    """Closed-form DAPPLE streams (paper Fig. 3b, §V-C): stage ``i`` warms
+    up with ``Ki = min(S-i, D)`` (PA) or ``min(2(S-i)-1, D)`` (PB)
+    forwards, clamped to ``[1, M]``."""
+    d = m if cap is None else cap
+    depth = (lambda i: s - i) if policy == "PA" else (lambda i: 2 * (s - i) - 1)
+    return [one_f_one_b(m, max(1, min(depth(i), d, m))) for i in range(s)]
+
+
+def reference_gpipe(s, m):
+    """Closed-form GPipe streams (paper Fig. 3a): all F, then B reversed."""
+    return [
+        [Forward(mb) for mb in range(m)] + [Backward(mb) for mb in reversed(range(m))]
+        for _ in range(s)
+    ]
+
+
+def _ir_equals_reference(s, m, policy, cap):
     ir = Dapple1F1BSchedule(s, m, warmup_policy=policy, max_in_memory=cap)
-    legacy = dapple_schedule(s, m, policy=policy, max_in_memory=cap)
-    assert ir.to_stage_schedule() == legacy, (
-        f"IR stream diverged from legacy dapple_schedule at "
+    assert ir.streams() == reference_1f1b(s, m, policy, cap), (
+        f"IR stream diverged from the closed-form 1F1B reference at "
         f"S={s} M={m} policy={policy} D={cap}"
     )
+    assert GPipeSchedule(s, m).streams() == reference_gpipe(s, m)
 
 
 class TestDappleBitIdentity:
@@ -51,12 +82,12 @@ class TestDappleBitIdentity:
         for s in range(1, 7):
             for m in range(1, 13):
                 for cap in (None, 1, 2, s, m):
-                    _ir_equals_legacy(s, m, policy, cap)
+                    _ir_equals_reference(s, m, policy, cap)
 
     def test_generated_cases(self):
         for case in generate_cases(25, base_seed=100):
             plan = case.plan
-            _ir_equals_legacy(
+            _ir_equals_reference(
                 plan.num_stages, plan.num_micro_batches, case.warmup_policy, None
             )
 
@@ -71,7 +102,7 @@ class TestDappleBitIdentity:
             cap=st.one_of(st.none(), st.integers(min_value=1, max_value=24)),
         )
         def prop(s, m, policy, cap):
-            _ir_equals_legacy(s, m, policy, cap)
+            _ir_equals_reference(s, m, policy, cap)
 
         prop()
 
@@ -87,7 +118,7 @@ class TestDappleBitIdentity:
             cap=st.one_of(st.none(), st.integers(min_value=1, max_value=64)),
         )
         def prop(s, m, policy, cap):
-            _ir_equals_legacy(s, m, policy, cap)
+            _ir_equals_reference(s, m, policy, cap)
 
         prop()
 

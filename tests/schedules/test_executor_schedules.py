@@ -1,13 +1,12 @@
-"""The executor × schedule registry seam: bit-identity with the legacy
-path, spec routing, per-schedule execution semantics."""
+"""The executor × schedule registry seam: bit-identity with explicit
+task streams, spec routing, per-schedule execution semantics."""
 
 import pytest
 
-from repro.check.generators import generate_cases
+from repro.check.generators import ExplicitSchedule, generate_cases
 from repro.cluster.configs import config_by_name
 from repro.core.plan import interleaved_straight_plan
 from repro.core.profiler import profile_model
-from repro.core.scheduler import dapple_schedule
 from repro.models.graph import uniform_model
 from repro.runtime.executor import PipelineExecutor
 from repro.schedules import (
@@ -15,6 +14,7 @@ from repro.schedules import (
     PipeSchedule,
     schedule_names,
 )
+from tests.schedules.test_differential import reference_1f1b
 
 
 @pytest.fixture(scope="module")
@@ -49,12 +49,13 @@ def _rows(res):
 
 class TestBitIdentity:
     def test_spec_equals_legacy_list(self, small):
-        """'dapple' spec vs the raw legacy StageSchedule: same graph,
-        same trace, same makespan."""
+        """'dapple' spec vs the closed-form task lists wrapped in an
+        explicit-stream schedule: same graph, same trace, same makespan."""
         prof, cluster, plan = small
         by_spec = PipelineExecutor(prof, cluster, plan, schedule="dapple").run()
-        legacy = dapple_schedule(plan.num_stages, plan.num_micro_batches)
-        by_list = PipelineExecutor(prof, cluster, plan, schedule=legacy).run()
+        m = plan.num_micro_batches
+        lists = ExplicitSchedule(reference_1f1b(plan.num_stages, m), m)
+        by_list = PipelineExecutor(prof, cluster, plan, schedule=lists).run()
         assert by_spec.iteration_time == by_list.iteration_time
         assert _rows(by_spec) == _rows(by_list)
 
@@ -84,12 +85,11 @@ class TestBitIdentity:
                 case.profile, case.cluster, plan,
                 schedule="dapple", warmup_policy=case.warmup_policy,
             ).run()
-            legacy = dapple_schedule(
-                plan.num_stages, plan.num_micro_batches,
-                policy=case.warmup_policy, max_in_memory=cap,
-            )
+            m = plan.num_micro_batches
+            lists = reference_1f1b(plan.num_stages, m, case.warmup_policy, cap)
             raw = PipelineExecutor(
-                case.profile, case.cluster, plan, schedule=legacy,
+                case.profile, case.cluster, plan,
+                schedule=ExplicitSchedule(lists, m),
             ).run()
             assert spec.iteration_time == raw.iteration_time, case
             assert _rows(spec) == _rows(raw), case
@@ -114,9 +114,9 @@ class TestScheduleSemantics:
     def test_result_carries_pipe_schedule(self, small):
         prof, cluster, plan = small
         res = PipelineExecutor(prof, cluster, plan, schedule="zb2bp:w=0.4").run()
-        assert isinstance(res.pipe_schedule, PipeSchedule)
-        assert res.pipe_schedule.name == "zb2bp"
-        assert res.pipe_schedule.backward_weight_fraction == 0.4
+        assert isinstance(res.schedule, PipeSchedule)
+        assert res.schedule.name == "zb2bp"
+        assert res.schedule.backward_weight_fraction == 0.4
 
     def test_interleaved_runs_on_interleaved_plan(self):
         model = uniform_model(
@@ -132,7 +132,7 @@ class TestScheduleSemantics:
             prof, cluster, plan, schedule="interleaved:v=2"
         ).run()
         assert res.iteration_time > 0
-        assert res.pipe_schedule.num_virtual_stages() == 4
+        assert res.schedule.num_virtual_stages() == 4
 
     def test_interleaved_rejects_straight_plan(self, small):
         prof, cluster, plan = small

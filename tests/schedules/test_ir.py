@@ -1,8 +1,7 @@
-"""The schedule IR itself: task vocabulary, streams, lowering, registry."""
+"""The schedule IR itself: task vocabulary, streams, registry."""
 
 import pytest
 
-from repro.core.scheduler import dapple_schedule, gpipe_schedule
 from repro.schedules import (
     COMM_KINDS,
     COMPUTE_KINDS,
@@ -22,8 +21,8 @@ from repro.schedules import (
     build_schedule,
     parse_schedule_spec,
     schedule_names,
-    task_from_kind,
 )
+from tests.schedules.test_differential import reference_1f1b, reference_gpipe
 
 
 class TestTaskVocabulary:
@@ -46,22 +45,22 @@ class TestTaskVocabulary:
         with pytest.raises(Exception):
             Forward(3).micro_batch = 4
 
-    def test_task_from_kind_round_trip(self):
-        for kind in sorted(COMPUTE_KINDS | COMM_KINDS):
-            assert task_from_kind(kind, 5).kind == kind
-        with pytest.raises(ValueError):
-            task_from_kind("X", 0)
-
 
 class TestStreamsAndLowering:
-    def test_dapple_lowering_matches_legacy(self):
-        sched = Dapple1F1BSchedule(4, 8)
-        legacy = dapple_schedule(4, 8)
-        assert sched.to_stage_schedule() == legacy
+    def test_dapple_streams_match_reference(self):
+        assert Dapple1F1BSchedule(4, 8).streams() == reference_1f1b(4, 8)
 
-    def test_gpipe_lowering_matches_legacy(self):
-        sched = GPipeSchedule(3, 6)
-        assert sched.to_stage_schedule() == gpipe_schedule(3, 6)
+    def test_gpipe_streams_match_reference(self):
+        assert GPipeSchedule(3, 6).streams() == reference_gpipe(3, 6)
+
+    def test_streams_reject_comm_markers(self):
+        class Marked(GPipeSchedule):
+            def stage_stream(self, stage):
+                yield RecvAct(0)
+                yield from super().stage_stream(stage)
+
+        with pytest.raises(ValueError, match="unknown task kind"):
+            Marked(1, 1).validate()
 
     def test_steps_interpolates_comm_markers(self):
         sched = Dapple1F1BSchedule(2, 2)

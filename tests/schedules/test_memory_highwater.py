@@ -48,7 +48,7 @@ class TestHighWaterMatchesSimulation:
         prof, cluster, plan = _straight()
         ex = PipelineExecutor(prof, cluster, plan, schedule=spec)
         res = ex.run()
-        waters = ex.pipe_schedule.memory_high_water()
+        waters = ex.schedule.memory_high_water()
         mm = MemoryModel(prof, plan)
         for i, stage in enumerate(plan.stages):
             sm = mm.stage_memory(i)
@@ -66,13 +66,13 @@ class TestHighWaterMatchesSimulation:
         prof, cluster, plan = _straight()
         da = PipelineExecutor(prof, cluster, plan, schedule="dapple")
         zb = PipelineExecutor(prof, cluster, plan, schedule="zb2bp")
-        assert zb.pipe_schedule.memory_high_water() == \
-            da.pipe_schedule.memory_high_water()
+        assert zb.schedule.memory_high_water() == \
+            da.schedule.memory_high_water()
 
     def test_gpipe_water_is_m(self):
         prof, cluster, plan = _straight(m=6)
         ex = PipelineExecutor(prof, cluster, plan, schedule="gpipe")
-        assert ex.pipe_schedule.memory_high_water() == [6, 6, 6, 6]
+        assert ex.schedule.memory_high_water() == [6, 6, 6, 6]
 
     def test_interleaved_device_peak_bounded(self):
         model = uniform_model(
@@ -89,7 +89,7 @@ class TestHighWaterMatchesSimulation:
         )
         ex = PipelineExecutor(prof, cluster, plan, schedule="interleaved:v=2")
         res = ex.run()
-        waters = ex.pipe_schedule.memory_high_water()
+        waters = ex.schedule.memory_high_water()
         mm = MemoryModel(prof, plan)
         p = len(cluster.devices)
         for dev in range(p):

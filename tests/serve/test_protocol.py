@@ -147,6 +147,20 @@ class TestDecodePlanRequest:
         with pytest.raises(RequestError, match=match):
             decode_plan_request(body)
 
+    @pytest.mark.parametrize("planner", [
+        {"beam_width": "8"},
+        {"policies": "fresh_first"},
+        {"stage_overhead_frac": "x"},
+        {"beam_width": 0},
+        {"min_stages": 2.5},
+        {"keep_top_k": -3},
+        {"level_batch": False},
+        {"use_fast_scan": False},
+    ])
+    def test_bad_planner_values_rejected(self, planner):
+        with pytest.raises(RequestError, match=next(iter(planner))):
+            decode_plan_request({"model": "vgg19", "planner": planner})
+
     def test_devices_must_fit_config(self):
         # Config A packs 8 GPUs/server; 12 devices is rejected at decode time.
         with pytest.raises(RequestError, match="multiple of 8"):
