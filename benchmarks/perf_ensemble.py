@@ -1,10 +1,10 @@
-"""A/B measurement of the batched ensemble engine vs the per-seed path.
+"""A/B measurement of the batched ensemble vs the per-seed oracle.
 
 Runs the repo's headline fault study — a 32-seed BERT-48 Config A
 straggler ensemble (one persistent 1.5x SlowDevice per seed, the paper's
 tail-effect scenario that ``repro.experiments.straggler_sweep`` scans) —
-through both ``run_ensemble`` strategies: the batched multi-scenario
-engine and the per-seed compiled loop.  Both are measured with
+through ``run_ensemble``'s single batched pass and through the per-seed
+compiled loop of the ``repro.check.per_seed_ensemble`` oracle.  Both are measured with
 observability off and on, the two reports are verified **bit-identical**,
 and the walls plus the single-run reference unit go to
 ``results/perf_ensemble.txt``.
@@ -30,6 +30,7 @@ import time
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 import repro.obs as obs
+from repro.check import per_seed_ensemble
 from repro.cluster import config_a
 from repro.core import profile_model
 from repro.core.plan import ParallelPlan, Stage
@@ -75,23 +76,24 @@ def _measure_ensemble(prof, clu, plan, models):
     """(batched, per_seed, batched_obs, per_seed_obs) walls + bit-identity."""
     seeds = range(NUM_SEEDS)
 
-    def ensemble(engine, enabled):
+    def ensemble(fn, enabled):
         if enabled:
             obs.enable(reset_state=True)
         try:
-            return run_ensemble(
-                prof, clu, plan, models, seeds,
-                enforce_memory=False, sim_engine=engine,
+            return fn(
+                prof, clu, plan, models, seeds, enforce_memory=False,
             )
         finally:
             if enabled:
                 obs.disable()
                 obs.reset()
 
-    batched_wall, batched_rep = _best(lambda: ensemble("batched", False))
-    per_seed_wall, per_seed_rep = _best(lambda: ensemble("compiled", False))
-    batched_obs_wall, _ = _best(lambda: ensemble("batched", True))
-    per_seed_obs_wall, _ = _best(lambda: ensemble("compiled", True))
+    batched_wall, batched_rep = _best(lambda: ensemble(run_ensemble, False))
+    per_seed_wall, per_seed_rep = _best(
+        lambda: ensemble(per_seed_ensemble, False)
+    )
+    batched_obs_wall, _ = _best(lambda: ensemble(run_ensemble, True))
+    per_seed_obs_wall, _ = _best(lambda: ensemble(per_seed_ensemble, True))
     identical = batched_rep.identical(per_seed_rep)
     return (
         batched_wall, per_seed_wall, batched_obs_wall, per_seed_obs_wall,

@@ -52,7 +52,7 @@ def _bert48_graph(num_micro_batches=256):
     return PipelineExecutor(prof, clu, plan, enforce_memory=False).build_graph()
 
 
-def _time_sim_pair(engine="compiled", rounds=2 * ROUNDS):
+def _time_sim_pair(rounds=2 * ROUNDS):
     """Best-of-rounds (disabled, enabled) walls for one simulator run.
 
     The two arms are interleaved within every round — fresh graph, run
@@ -66,7 +66,7 @@ def _time_sim_pair(engine="compiled", rounds=2 * ROUNDS):
         if enabled:
             obs.enable(reset_state=True)
         t0 = time.perf_counter()
-        res = Simulator(g, engine=engine).run()
+        res = Simulator(g).run()
         dt = time.perf_counter() - t0
         if enabled:
             obs.disable()
@@ -160,13 +160,6 @@ SERVE_OVERHEAD_FLOOR_S = 5e-4
 def main() -> int:
     sim_off, sim_on, makespan_off, makespan_on = _time_sim_pair()
     assert makespan_on == makespan_off, "instrumentation changed the result"
-    bat_off, bat_on, bat_makespan_off, bat_makespan_on = _time_sim_pair(
-        engine="batched"
-    )
-    assert bat_makespan_on == bat_makespan_off, (
-        "instrumentation changed the batched result"
-    )
-    assert bat_makespan_off == makespan_off, "engines diverged"
     plan_off, plan_on = _time_planner_pair()
     serve_off, serve_on = _time_serve_pair()
     serve_limit = max(
@@ -183,11 +176,6 @@ def main() -> int:
         f"  obs disabled (default no-op path) : {sim_off * 1e3:9.1f} ms\n",
         f"  obs enabled (spans + histograms)  : {sim_on * 1e3:9.1f} ms\n",
         f"  enabled overhead                  : {(sim_on / sim_off - 1) * 100:+9.1f} %\n",
-        "\n",
-        "batched engine (single scenario row), same graph\n",
-        f"  obs disabled (default no-op path) : {bat_off * 1e3:9.1f} ms\n",
-        f"  obs enabled (spans + histograms)  : {bat_on * 1e3:9.1f} ms\n",
-        f"  enabled overhead                  : {(bat_on / bat_off - 1) * 100:+9.1f} %\n",
         "\n",
         "planner fast-scan search, BERT-48 on Config A, GBS=64\n",
         f"  obs disabled (default no-op path) : {plan_off * 1e3:9.1f} ms\n",
@@ -228,8 +216,6 @@ def main() -> int:
         [
             {"name": "sim_compiled_off", "ms": sim_off * 1e3},
             {"name": "sim_compiled_on", "ms": sim_on * 1e3},
-            {"name": "sim_batched_off", "ms": bat_off * 1e3},
-            {"name": "sim_batched_on", "ms": bat_on * 1e3},
             {"name": "planner_off", "ms": plan_off * 1e3},
             {"name": "planner_on", "ms": plan_on * 1e3},
             {"name": "serve_warm_submit_off", "ms": serve_off * 1e3},

@@ -7,8 +7,10 @@ Three pillars, one report type:
   warm-up counts, Ki memory bound, resource exclusivity, synchronous
   weight sync, analytical makespan lower bound);
 * :mod:`repro.check.oracles` — differential oracles over the repo's
-  redundant implementations (compiled vs reference engine, level-batched
-  vs scalar planner, evaluate vs explain, clean fault path);
+  redundant implementations (compiled vs reference engine, batched vs
+  per-seed ensemble, level-batched vs scalar planner, evaluate vs explain,
+  clean fault path), with the slow reference sides in
+  :mod:`repro.check.reference`;
 * :mod:`repro.check.generators` — seeded random instances so both run
   beyond the model zoo.
 
@@ -38,6 +40,7 @@ from repro.check.oracles import (
     run_oracles,
 )
 from repro.check.generators import GeneratedCase, generate_cases, random_case
+from repro.check.reference import per_seed_ensemble, run_reference
 
 __all__ = [
     "ConformanceError",
@@ -57,6 +60,8 @@ __all__ = [
     "run_oracles",
     "ScalarPlanner",
     "planner_diffs",
+    "per_seed_ensemble",
+    "run_reference",
     "GeneratedCase",
     "generate_cases",
     "random_case",

@@ -794,7 +794,7 @@ def verify_execution(
     warmup_policy: str = "PA",
     recompute=False,
     enforce_memory: bool = True,
-    engine: str | None = None,
+    engine: str = "compiled",
 ) -> ConformanceReport:
     """Build one iteration, simulate it on ``engine``, and scan it.
 
@@ -837,5 +837,5 @@ def verify_execution(
         max_in_memory=cap,
         subject=f"{plan.model.name} {plan.notation} "
         f"({schedule if isinstance(schedule, str) else 'custom'}, "
-        f"{engine or 'default'})",
+        f"{engine})",
     )

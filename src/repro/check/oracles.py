@@ -1,7 +1,8 @@
 """Differential oracles: two independent implementations must agree.
 
 The repo carries several redundant computations kept deliberately
-bit-identical — a compiled and a reference simulator engine, the
+bit-identical — a compiled and a reference simulator engine, a batched
+fault ensemble and its per-seed oracle, the
 level-batched planner search and its scalar oracle (:class:`ScalarPlanner`,
 defined here), a closed-form latency estimate and its
 per-stage decomposition, a fault-injection path whose empty-model case is
@@ -53,48 +54,47 @@ def _memory_rows(result) -> dict:
 
 
 def oracle_engines(graph, subject: str = "engines") -> ConformanceReport:
-    """All simulator engines (compiled, reference, batched) agree bit-for-bit.
+    """The compiled engine and the reference oracle agree bit-for-bit.
 
-    The compiled engine anchors the comparison; the reference oracle and the
-    multi-scenario batched engine (run with a single scenario row) must each
-    reproduce its makespan, trace rows, and memory peaks/finals exactly.
+    The reference loop (:func:`repro.check.reference.run_reference`) must
+    reproduce the compiled engine's makespan, trace rows, and memory
+    peaks/finals exactly.
     """
     from repro.sim.engine import Simulator
 
     report = ConformanceReport(subject=subject)
     report.ran("oracle-engines")
     compiled = Simulator(graph, engine="compiled").run()
+    other = Simulator(graph, engine="reference").run()
+    if compiled.makespan != other.makespan:
+        report.add(Violation(
+            "oracle-engines",
+            f"makespan diverges: compiled={compiled.makespan!r} "
+            f"reference={other.makespan!r}",
+        ))
     rows_c = _trace_rows(compiled)
+    rows_o = _trace_rows(other)
+    if rows_c != rows_o:
+        bad = next(
+            (c for c, r in zip(rows_c, rows_o) if c != r),
+            rows_c[len(rows_o):][:1] or rows_o[len(rows_c):][:1],
+        )
+        op = bad[0] if isinstance(bad, tuple) else (bad[0][0] if bad else None)
+        report.add(Violation(
+            "oracle-engines",
+            f"trace rows diverge vs reference "
+            f"({len(rows_c)} vs {len(rows_o)} events)",
+            op=op,
+        ))
     mem_c = _memory_rows(compiled)
-    for engine in ("reference", "batched"):
-        other = Simulator(graph, engine=engine).run()
-        if compiled.makespan != other.makespan:
-            report.add(Violation(
-                "oracle-engines",
-                f"makespan diverges: compiled={compiled.makespan!r} "
-                f"{engine}={other.makespan!r}",
-            ))
-        rows_o = _trace_rows(other)
-        if rows_c != rows_o:
-            bad = next(
-                (c for c, r in zip(rows_c, rows_o) if c != r),
-                rows_c[len(rows_o):][:1] or rows_o[len(rows_c):][:1],
-            )
-            op = bad[0] if isinstance(bad, tuple) else (bad[0][0] if bad else None)
-            report.add(Violation(
-                "oracle-engines",
-                f"trace rows diverge vs {engine} "
-                f"({len(rows_c)} vs {len(rows_o)} events)",
-                op=op,
-            ))
-        mem_o = _memory_rows(other)
-        if mem_c != mem_o:
-            dev = next((d for d in mem_c if mem_c[d] != mem_o.get(d)), None)
-            report.add(Violation(
-                "oracle-engines",
-                f"memory peaks/finals diverge between compiled and {engine}",
-                resource=dev,
-            ))
+    mem_o = _memory_rows(other)
+    if mem_c != mem_o:
+        dev = next((d for d in mem_c if mem_c[d] != mem_o.get(d)), None)
+        report.add(Violation(
+            "oracle-engines",
+            "memory peaks/finals diverge between compiled and reference",
+            resource=dev,
+        ))
     return report
 
 
@@ -102,14 +102,17 @@ def oracle_batched_ensemble(
     profile, cluster, plan, seeds=(0, 1, 2, 3),
     subject: str = "batched-ensemble", **kwargs,
 ) -> ConformanceReport:
-    """Batched and per-seed-compiled fault ensembles are bit-identical.
+    """The batched fault ensemble is bit-identical to the per-seed oracle.
 
-    Runs the same (plan, models, seeds) ensemble through one batched
-    multi-scenario pass and through the per-seed compiled path, then demands
+    Runs the same (plan, models, seeds) ensemble through
+    :func:`~repro.faults.analysis.run_ensemble`'s single batched pass and
+    through :func:`repro.check.reference.per_seed_ensemble` on the compiled
+    engine, then demands
     :meth:`~repro.faults.analysis.EnsembleReport.identical` — bit-equal
     makespans, stage bubbles, and critical-path signatures for the clean row
     and every seed.
     """
+    from repro.check.reference import per_seed_ensemble
     from repro.faults.analysis import run_ensemble
     from repro.faults.models import ComputeJitter, SlowDevice, TransientFailure
 
@@ -120,13 +123,9 @@ def oracle_batched_ensemble(
         SlowDevice(factor=1.5, num_devices=1),
         TransientFailure(stall=0.2),
     )
-    batched = run_ensemble(
-        profile, cluster, plan, models, seeds,
-        sim_engine="batched", **kwargs,
-    )
-    per_seed = run_ensemble(
-        profile, cluster, plan, models, seeds,
-        sim_engine="compiled", **kwargs,
+    batched = run_ensemble(profile, cluster, plan, models, seeds, **kwargs)
+    per_seed = per_seed_ensemble(
+        profile, cluster, plan, models, seeds, sim_engine="compiled", **kwargs
     )
     if not batched.identical(per_seed):
         detail = "report"

@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 
@@ -70,6 +71,14 @@ EXPERIMENTS = [
 #: Fixed default for every seeded CLI path, so runs are reproducible unless
 #: the user explicitly varies ``--seed``.
 DEFAULT_SEED = 0
+
+
+def _finite_float(text: str) -> float:
+    """argparse type: a float that is neither NaN nor infinite."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -344,8 +353,6 @@ def _fault_models_from_args(args):
 
 def cmd_faults(args) -> int:
     """``repro faults``: robustness of DAPPLE vs GPipe vs DP on one model."""
-    import math
-
     from repro.baselines import gpipe_plan
     from repro.core.plan import single_stage_plan
     from repro.experiments.reporting import format_table
@@ -364,8 +371,7 @@ def cmd_faults(args) -> int:
     def measure(label, plan, schedule) -> None:
         try:
             rep = run_ensemble(
-                prof, cluster, plan, models, seeds,
-                schedule=schedule, sim_engine=args.sim_engine, jobs=args.jobs or None,
+                prof, cluster, plan, models, seeds, schedule=schedule
             )
         except OutOfMemoryError:
             rows.append([label, plan.notation, "OOM", "-", "-", "-", "-"])
@@ -413,7 +419,6 @@ def cmd_faults(args) -> int:
         rob = robust_plan(
             prof, cluster, gbs, models, seeds,
             q=args.quantile, top_k=args.robust_k,
-            sim_engine=args.sim_engine, jobs=args.jobs or None,
         )
         cand_rows = [
             [
@@ -838,10 +843,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--warmup", default="PA", choices=["PA", "PB"])
     p.add_argument("--recompute", default="none", choices=["none", "boundary", "sqrt"])
     p.add_argument(
-        "--sim-engine", default=None,
-        choices=["compiled", "reference", "batched"],
-        help="simulator event loop (default: compiled; reference = oracle; "
-        "batched = multi-scenario engine, single-scenario here)",
+        "--sim-engine", default="compiled", choices=["compiled", "reference"],
+        help="simulator event loop (default: compiled; reference = oracle)",
     )
     p.add_argument("--gantt", action="store_true", help="print an ASCII Gantt chart")
     _add_obs(p)
@@ -874,8 +877,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="'one' checks --model only; 'zoo' sweeps every benchmark model",
     )
     p.add_argument(
-        "--engine", default=None,
-        choices=["compiled", "reference", "batched"],
+        "--engine", default=None, choices=["compiled", "reference"],
         help="restrict to one simulator engine (default: check all)",
     )
     p.add_argument(
@@ -899,7 +901,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     _add_schedule(p)
     p.add_argument(
-        "--straggler", type=float, default=1.5,
+        "--straggler", type=_finite_float, default=1.5,
         help="persistent slow-device factor (>1 enables; default 1.5)",
     )
     p.add_argument(
@@ -907,19 +909,19 @@ def build_parser() -> argparse.ArgumentParser:
         help="how many devices the straggler model slows (default 1)",
     )
     p.add_argument(
-        "--jitter", type=float, default=0.05,
+        "--jitter", type=_finite_float, default=0.05,
         help="lognormal compute-jitter sigma (>0 enables; default 0.05)",
     )
     p.add_argument(
-        "--link-factor", type=float, default=1.0,
+        "--link-factor", type=_finite_float, default=1.0,
         help="degraded-link slowdown factor (>1 enables; default off)",
     )
     p.add_argument(
-        "--flaky-prob", type=float, default=None,
+        "--flaky-prob", type=_finite_float, default=None,
         help="make the degraded link flaky: per-transfer hit probability",
     )
     p.add_argument(
-        "--fail-stall", type=float, default=0.0,
+        "--fail-stall", type=_finite_float, default=0.0,
         help="transient device failure: stall-and-recover seconds (>0 enables)",
     )
     p.add_argument(
@@ -938,18 +940,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--quantile", type=float, default=0.95,
         help="makespan quantile for robust selection (default 0.95)",
-    )
-    p.add_argument(
-        "--jobs", type=int, default=1,
-        help="worker processes for per-seed ensemble fan-out; 0 = all cores "
-        "but one (orthogonal to --sim-engine batched, which runs the whole "
-        "ensemble in-process and ignores it)",
-    )
-    p.add_argument(
-        "--sim-engine", default=None,
-        choices=["compiled", "reference", "batched"],
-        help="simulator event loop for ensembles (default: batched, one "
-        "multi-scenario pass; compiled/reference = per-seed)",
     )
     _add_plan_cache(p)
     _add_obs(p)

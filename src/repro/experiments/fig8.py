@@ -72,7 +72,7 @@ def _build(round_robin: bool, num_micro_batches: int, t1: float, comm: float,
 
 
 def run(num_micro_batches: int = 5, t1: float = 10e-3, comm: float = 0.2e-3,
-        act_bytes: float = 32 * 2**20, sim_engine: str | None = None) -> Fig8Result:
+        act_bytes: float = 32 * 2**20, sim_engine: str = "compiled") -> Fig8Result:
     split = Simulator(
         _build(False, num_micro_batches, t1, comm, act_bytes), engine=sim_engine
     ).run()

@@ -87,7 +87,6 @@ def point(
     factor: float,
     num_seeds: int = 8,
     base_seed: int = 0,
-    sim_engine: str | None = None,
 ) -> StragglerPoint:
     """One grid point — module-level so ``sweep`` can fork it."""
     prof = profile(model)
@@ -101,8 +100,7 @@ def point(
     def measure(system: str, plan, schedule: str) -> None:
         try:
             rep = run_ensemble(
-                prof, clu, plan, models, seeds,
-                schedule=schedule, sim_engine=sim_engine,
+                prof, clu, plan, models, seeds, schedule=schedule
             )
         except OutOfMemoryError:
             systems.append(SystemRobustness(system, plan.notation, math.nan, math.nan))
@@ -132,8 +130,7 @@ def point(
         systems.append(SystemRobustness("DP", "DP", math.nan, math.nan))
 
     rob = robust_plan(
-        prof, clu, gbs, models, seeds,
-        q=ROBUST_QUANTILE, top_k=ROBUST_TOP_K, sim_engine=sim_engine,
+        prof, clu, gbs, models, seeds, q=ROBUST_QUANTILE, top_k=ROBUST_TOP_K
     )
     return StragglerPoint(
         model=model,
@@ -153,10 +150,9 @@ def run(
     num_seeds: int = 8,
     seed: int = 0,
     jobs: int | None = 1,
-    sim_engine: str | None = None,
 ) -> list[StragglerPoint]:
     grid = [
-        (name, cfg, factor, num_seeds, seed, sim_engine)
+        (name, cfg, factor, num_seeds, seed)
         for name in models
         for cfg in configs
         for factor in factors

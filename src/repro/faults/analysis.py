@@ -12,25 +12,18 @@ Answers three questions about a plan under a perturbation model set:
   whose completion times gate the makespan is extracted from each perturbed
   trace and compared (as a stage signature) against the clean run's.
 
-Two execution strategies sit behind :func:`run_ensemble`:
-
-* ``sim_engine="batched"`` (the default) builds and compiles the plan's
-  graph **once**, turns the model set into an ``(S, ops)`` duration matrix
-  (:func:`repro.faults.models.perturb_durations`), and hands the whole
-  ensemble — clean row included — to the multi-scenario engine
-  (:func:`repro.sim.batched.run_batched`) in a single pass.  Outcomes are
-  summarized from vectorized scenario views, bit-identical to the per-seed
-  path.
-* ``sim_engine="compiled"`` / ``"reference"`` fall back to one independent
-  simulation per seed, fanned out across worker processes via
-  :func:`repro.perf.sweep.sweep` when ``jobs`` allows.  ``jobs`` is
-  orthogonal to in-process batching: the batched engine runs the ensemble
-  in one process and ignores it.
+:func:`run_ensemble` builds and compiles the plan's graph **once**, turns
+the model set into an ``(S, ops)`` duration matrix
+(:func:`repro.faults.models.perturb_durations`), and hands the whole
+ensemble — clean row included — to the simulator's event loop
+(:func:`repro.sim.batched.run_batched`) in a single pass.  Outcomes are
+summarized from vectorized scenario views, bit-identical to one independent
+simulation per seed (:func:`evaluate_seed`; the oracle
+:func:`repro.check.reference.per_seed_ensemble` runs that loop).
 """
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -40,10 +33,8 @@ import numpy as np
 import repro.obs as obs
 from repro.faults.inject import FaultedExecution, execute_plan_faulted
 from repro.faults.models import perturb_durations
-from repro.perf.sweep import sweep
 from repro.sim.batched import run_batched
 from repro.sim.compiled import compile_graph
-from repro.sim.engine import ENGINES
 
 __all__ = [
     "SeedOutcome",
@@ -56,22 +47,6 @@ __all__ = [
     "critical_path_stages",
     "stage_bubble_fractions",
 ]
-
-#: Engine used by :func:`run_ensemble` when ``sim_engine`` is not given and
-#: ``REPRO_SIM_ENGINE`` is unset.
-DEFAULT_ENSEMBLE_ENGINE = "batched"
-
-
-def _resolve_ensemble_engine(sim_engine: str | None) -> str:
-    """``sim_engine`` > ``REPRO_SIM_ENGINE`` > :data:`DEFAULT_ENSEMBLE_ENGINE`."""
-    engine = (
-        sim_engine
-        or os.environ.get("REPRO_SIM_ENGINE")
-        or DEFAULT_ENSEMBLE_ENGINE
-    )
-    if engine not in ENGINES:
-        raise ValueError(f"unknown sim engine {engine!r} (one of {ENGINES})")
-    return engine
 
 
 # --------------------------------------------------------------------- #
@@ -224,7 +199,7 @@ def _stage_bubbles(view, plan, makespan: float) -> tuple:
 
 
 # --------------------------------------------------------------------- #
-# Per-seed evaluation (module-level so ``sweep`` can fork it)
+# Per-seed evaluation
 # --------------------------------------------------------------------- #
 @dataclass(frozen=True)
 class SeedOutcome:
@@ -248,7 +223,7 @@ def evaluate_seed(
     warmup_policy: str = "PA",
     recompute=False,
     enforce_memory: bool = True,
-    sim_engine: str | None = None,
+    sim_engine: str = "compiled",
 ) -> SeedOutcome:
     """Simulate ``plan`` under ``models`` at ``seed`` and summarize."""
     models = tuple(models)
@@ -392,8 +367,8 @@ class EnsembleReport:
 
         The dataclass-generated ``__eq__`` is unusable here (the
         ``makespans`` ndarray compares elementwise), so determinism tests —
-        same ``(plan, models, seeds)`` must yield the same report across
-        ``jobs`` counts and sim engines — use this instead.
+        same ``(plan, models, seeds)`` must yield the same report on every
+        rerun and under the per-seed oracle — use this instead.
         """
         return (
             self.plan_notation == other.plan_notation
@@ -414,65 +389,6 @@ class EnsembleReport:
         return shifted / len(self.outcomes)
 
 
-def _run_ensemble_batched(
-    profile, cluster, plan, models, seeds, schedule, warmup_policy,
-    recompute, enforce_memory, clean,
-):
-    """One batched pass over the clean row plus every perturbed seed.
-
-    Builds and compiles the plan's graph once, stacks the clean duration
-    column (skipped when the caller supplied ``clean``) on top of the
-    ``(S, ops)`` perturbation matrix, and summarizes each scenario from its
-    vectorized view.  Deduplicated scenarios (identical duration rows) share
-    one view, and the bubble/critical-path summary is memoized per view so
-    repeated seeds cost nothing beyond the dict hit.
-    """
-    from repro.runtime.executor import PipelineExecutor
-
-    executor = PipelineExecutor(
-        profile,
-        cluster,
-        plan,
-        schedule=schedule,
-        warmup_policy=warmup_policy,
-        recompute=recompute,
-        enforce_memory=enforce_memory,
-    )
-    graph = executor.build_graph()
-    cg = compile_graph(graph)
-    ops = graph.ops()
-    matrix = perturb_durations(graph, models, seeds)
-    if clean is None:
-        rows = np.vstack([cg.durations[None, :], matrix])
-        offset = 1
-    else:
-        rows = matrix
-        offset = 0
-    batch = run_batched(cg, rows, record_memory=False)
-    memo: dict[int, tuple] = {}
-
-    def outcome(s: int, seed: int) -> SeedOutcome:
-        view = batch.view(s)
-        got = memo.get(id(view))
-        if got is None:
-            makespan = batch.makespan(s)
-            got = memo[id(view)] = (
-                _stage_bubbles(view, plan, makespan),
-                _stage_signature(ops, _critical_ids(view, cg, ops)),
-            )
-        return SeedOutcome(
-            seed=seed,
-            makespan=batch.makespan(s),
-            stage_bubbles=got[0],
-            critical_stages=got[1],
-        )
-
-    if clean is None:
-        clean = outcome(0, 0)
-    outcomes = [outcome(offset + j, seed) for j, seed in enumerate(seeds)]
-    return clean, outcomes
-
-
 def run_ensemble(
     profile,
     cluster,
@@ -483,58 +399,74 @@ def run_ensemble(
     warmup_policy: str = "PA",
     recompute=False,
     enforce_memory: bool = True,
-    sim_engine: str | None = None,
-    jobs: int | None = 1,
     clean: SeedOutcome | None = None,
 ) -> EnsembleReport:
     """Monte-Carlo ensemble of ``plan`` under ``models`` over ``seeds``.
 
-    With the default ``sim_engine`` (``"batched"``), the whole ensemble —
-    clean run included — is one compiled pass over an ``(S, ops)`` duration
-    matrix; ``jobs`` is ignored.  With ``"compiled"``/``"reference"`` the
-    clean (model-free) run anchors the slowdown figures and perturbed seeds
-    fan out over :func:`repro.perf.sweep.sweep` when ``jobs`` allows.  Both
-    paths produce bit-identical reports (:meth:`EnsembleReport.identical`).
+    One batched pass: builds and compiles the plan's graph once, stacks the
+    clean duration column (skipped when the caller supplied ``clean``) on
+    top of the ``(S, ops)`` perturbation matrix, and summarizes each
+    scenario from its vectorized view.  Deduplicated scenarios (identical
+    duration rows) share one view, and the bubble/critical-path summary is
+    memoized per view so repeated seeds cost nothing beyond the dict hit.
 
     ``clean`` short-circuits the clean baseline: callers re-scoring the same
     plan under different model sets (straggler sweeps, robust selection)
-    pass a previous report's ``.clean`` so the baseline trace and its
+    pass a previous report's ``.clean`` so the baseline row and its
     critical-path walk are not recomputed per call.
     """
+    from repro.runtime.executor import PipelineExecutor
+
     seeds = [int(s) for s in seeds]
     if not seeds:
         raise ValueError("ensemble needs at least one seed")
     models = tuple(models)
-    engine = _resolve_ensemble_engine(sim_engine)
     track = obs.enabled()
     t_start = time.perf_counter() if track else 0.0
     with obs.span(
-        "faults.run_ensemble",
-        plan=plan.notation,
-        seeds=len(seeds),
-        engine=engine,
+        "faults.run_ensemble", plan=plan.notation, seeds=len(seeds),
     ):
-        if engine == "batched":
-            clean, outcomes = _run_ensemble_batched(
-                profile, cluster, plan, models, seeds, schedule,
-                warmup_policy, recompute, enforce_memory, clean,
-            )
+        executor = PipelineExecutor(
+            profile,
+            cluster,
+            plan,
+            schedule=schedule,
+            warmup_policy=warmup_policy,
+            recompute=recompute,
+            enforce_memory=enforce_memory,
+        )
+        graph = executor.build_graph()
+        cg = compile_graph(graph)
+        ops = graph.ops()
+        matrix = perturb_durations(graph, models, seeds)
+        if clean is None:
+            rows = np.vstack([cg.durations[None, :], matrix])
+            offset = 1
         else:
-            if clean is None:
-                clean = evaluate_seed(
-                    profile, cluster, plan, (), 0,
-                    schedule=schedule, warmup_policy=warmup_policy,
-                    recompute=recompute,
-                    enforce_memory=enforce_memory, sim_engine=engine,
+            rows = matrix
+            offset = 0
+        batch = run_batched(cg, rows, record_memory=False)
+        memo: dict[int, tuple] = {}
+
+        def outcome(s: int, seed: int) -> SeedOutcome:
+            view = batch.view(s)
+            got = memo.get(id(view))
+            if got is None:
+                makespan = batch.makespan(s)
+                got = memo[id(view)] = (
+                    _stage_bubbles(view, plan, makespan),
+                    _stage_signature(ops, _critical_ids(view, cg, ops)),
                 )
-            tasks = [
-                (
-                    profile, cluster, plan, models, s,
-                    schedule, warmup_policy, recompute, enforce_memory, engine,
-                )
-                for s in seeds
-            ]
-            outcomes = sweep(evaluate_seed, tasks, jobs=jobs)
+            return SeedOutcome(
+                seed=seed,
+                makespan=batch.makespan(s),
+                stage_bubbles=got[0],
+                critical_stages=got[1],
+            )
+
+        if clean is None:
+            clean = outcome(0, 0)
+        outcomes = [outcome(offset + j, seed) for j, seed in enumerate(seeds)]
     report = EnsembleReport(
         plan_notation=plan.notation,
         clean=clean,
@@ -556,16 +488,14 @@ def run_ensembles(
     warmup_policy: str = "PA",
     recompute=False,
     enforce_memory: bool = True,
-    sim_engine: str | None = None,
-    jobs: int | None = 1,
 ) -> list:
     """Ensemble every plan in ``plans`` over the same ``models`` × ``seeds``.
 
     The S seeds × K plans grid behind robust top-K re-scoring
     (:func:`repro.faults.robust.robust_plan`): each plan's graph is compiled
-    once and its whole seed ensemble runs as a single batched pass (engine
-    permitting), so the grid costs K batched calls instead of K × (S + 1)
-    independent simulations.  Reports are index-aligned with ``plans``.
+    once and its whole seed ensemble runs as a single batched pass, so the
+    grid costs K batched calls instead of K × (S + 1) independent
+    simulations.  Reports are index-aligned with ``plans``.
     """
     plans = list(plans)
     with obs.span(
@@ -576,7 +506,6 @@ def run_ensembles(
                 profile, cluster, plan, models, seeds,
                 schedule=schedule, warmup_policy=warmup_policy,
                 recompute=recompute, enforce_memory=enforce_memory,
-                sim_engine=sim_engine, jobs=jobs,
             )
             for plan in plans
         ]

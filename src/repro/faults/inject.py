@@ -117,7 +117,7 @@ def execute_plan_faulted(
     recompute=False,
     enforce_memory: bool = True,
     device_slowdown: dict | None = None,
-    sim_engine: str | None = None,
+    sim_engine: str = "compiled",
 ) -> FaultedExecution:
     """Build one iteration's task graph, perturb it, and simulate.
 

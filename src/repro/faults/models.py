@@ -31,6 +31,7 @@ with stall-and-recover semantics.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -267,8 +268,10 @@ class ComputeJitter(PerturbationModel):
     kinds: tuple | None = COMPUTE_KINDS
 
     def __post_init__(self) -> None:
-        if self.sigma < 0:
-            raise ValueError(f"jitter sigma must be >= 0, got {self.sigma}")
+        if not 0.0 <= self.sigma < math.inf:
+            raise ValueError(
+                f"jitter sigma must be finite and >= 0, got {self.sigma}"
+            )
         if self.distribution not in ("lognormal", "uniform"):
             raise ValueError(
                 f"unknown jitter distribution {self.distribution!r} "
@@ -331,8 +334,10 @@ class SlowDevice(PerturbationModel):
     devices: tuple = ()
 
     def __post_init__(self) -> None:
-        if self.factor < 1.0:
-            raise ValueError(f"straggler factor must be >= 1, got {self.factor}")
+        if not 1.0 <= self.factor < math.inf:
+            raise ValueError(
+                f"straggler factor must be finite and >= 1, got {self.factor}"
+            )
         if self.num_devices < 1 and not self.devices:
             raise ValueError("need num_devices >= 1 or explicit devices")
 
@@ -387,8 +392,11 @@ class DegradedLink(PerturbationModel):
     links: tuple = ()
 
     def __post_init__(self) -> None:
-        if self.factor < 1.0:
-            raise ValueError(f"link degradation factor must be >= 1, got {self.factor}")
+        if not 1.0 <= self.factor < math.inf:
+            raise ValueError(
+                f"link degradation factor must be finite and >= 1, "
+                f"got {self.factor}"
+            )
         if self.flaky_prob is not None and not 0.0 <= self.flaky_prob <= 1.0:
             raise ValueError(f"flaky_prob must be in [0, 1], got {self.flaky_prob}")
 
@@ -460,8 +468,8 @@ class TransientFailure(PerturbationModel):
     position: float | None = None
 
     def __post_init__(self) -> None:
-        if self.stall < 0:
-            raise ValueError(f"stall must be >= 0, got {self.stall}")
+        if not 0.0 <= self.stall < math.inf:
+            raise ValueError(f"stall must be finite and >= 0, got {self.stall}")
         if self.position is not None and not 0.0 <= self.position <= 1.0:
             raise ValueError(f"position must be in [0, 1], got {self.position}")
         if self.num_failures < 1 and not self.devices:

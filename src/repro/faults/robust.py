@@ -78,17 +78,14 @@ def robust_plan(
     schedule="dapple",
     warmup_policy: str = "PA",
     recompute=False,
-    sim_engine: str | None = None,
-    jobs: int | None = 1,
 ) -> RobustPlanResult:
     """Search top-K plans, re-score each under the ensemble, pick by ``q``.
 
     The whole S seeds × K plans re-scoring grid is one
-    :func:`~repro.faults.analysis.run_ensembles` call — with the default
-    batched engine each candidate costs a single multi-scenario pass rather
-    than S + 1 independent simulations.  Ties on the quantile break toward
-    the better clean makespan, then planner order, so the selection is
-    deterministic.
+    :func:`~repro.faults.analysis.run_ensembles` call — each candidate costs
+    a single multi-scenario pass rather than S + 1 independent simulations.
+    Ties on the quantile break toward the better clean makespan, then
+    planner order, so the selection is deterministic.
     """
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"quantile must be in [0, 1], got {q}")
@@ -113,8 +110,6 @@ def robust_plan(
         schedule=schedule,
         warmup_policy=warmup_policy,
         recompute=recompute,
-        sim_engine=sim_engine,
-        jobs=jobs,
     )
     scored = [
         CandidateRobustness(

@@ -109,15 +109,14 @@ class PipelineExecutor:
         recompute: bool = False,
         enforce_memory: bool = True,
         device_slowdown: dict | None = None,
-        sim_engine: str | None = None,
+        sim_engine: str = "compiled",
     ):
         from repro.runtime.checkpointing import normalize_strategy, stage_checkpointing
 
         self.profile = profile
         self.cluster = cluster
         self.plan = plan
-        #: Simulator event loop: "compiled" (default), "reference" (oracle),
-        #: or None to defer to the REPRO_SIM_ENGINE environment variable.
+        #: Simulator event loop: "compiled" (default) or "reference" (oracle).
         self.sim_engine = sim_engine
         self.checkpoint_strategy = normalize_strategy(recompute)
         self.recompute = self.checkpoint_strategy != "none"
@@ -461,7 +460,7 @@ def execute_plan(
     recompute: bool = False,
     enforce_memory: bool = True,
     device_slowdown: dict | None = None,
-    sim_engine: str | None = None,
+    sim_engine: str = "compiled",
 ) -> ExecutionResult:
     """One-call façade: build the task graph, simulate, return the result."""
     return PipelineExecutor(

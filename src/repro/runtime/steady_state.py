@@ -75,7 +75,7 @@ def simulate_iterations(
     recompute: bool = False,
     enforce_memory: bool = True,
     sync: bool = True,
-    sim_engine: str | None = None,
+    sim_engine: str = "compiled",
 ) -> SteadyStateResult:
     """Simulate ``num_iterations`` back-to-back training iterations.
 

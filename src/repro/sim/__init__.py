@@ -2,22 +2,18 @@
 
 This package provides the execution engine underneath the DAPPLE runtime:
 a deterministic list-scheduling simulator over a static task graph
-(:mod:`repro.sim.engine`), resource bookkeeping (:mod:`repro.sim.resources`),
-execution traces with per-device memory timelines (:mod:`repro.sim.trace`),
-and a vectorized multi-scenario engine that simulates whole fault ensembles
-in one pass (:mod:`repro.sim.batched`).
+(:mod:`repro.sim.engine`), the graph's compiled index form and columnar
+traces (:mod:`repro.sim.compiled`), the event loop itself, which runs one
+duration row or a whole fault ensemble in one pass
+(:mod:`repro.sim.batched`), and execution traces with per-device memory
+timelines (:mod:`repro.sim.trace`).
 
 The simulator plays the role that the TensorFlow graph executor plays in the
 paper: it runs operations as soon as their data/control dependencies are
 satisfied and their resources (GPU streams, network links) are free.
 """
 
-from repro.sim.batched import (
-    BatchedSimulation,
-    ScenarioView,
-    run_batched,
-    run_batched_graph,
-)
+from repro.sim.batched import BatchedSimulation, ScenarioView, run_batched
 from repro.sim.chrome_trace import export_chrome_trace, trace_to_events
 from repro.sim.compiled import (
     ColumnarMemoryTimeline,
@@ -27,7 +23,6 @@ from repro.sim.compiled import (
     run_compiled,
 )
 from repro.sim.engine import ENGINES, Op, TaskGraph, Simulator, SimulationResult
-from repro.sim.resources import Resource, ResourcePool
 from repro.sim.trace import Trace, TraceEvent, MemoryTimeline
 
 __all__ = [
@@ -44,9 +39,6 @@ __all__ = [
     "BatchedSimulation",
     "ScenarioView",
     "run_batched",
-    "run_batched_graph",
-    "Resource",
-    "ResourcePool",
     "Trace",
     "TraceEvent",
     "MemoryTimeline",

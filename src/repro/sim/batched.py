@@ -1,20 +1,48 @@
-"""Batched multi-scenario simulation: one compiled graph, S duration rows.
+"""The simulator's event loop, run over one or many duration rows.
 
-Monte-Carlo fault ensembles (:mod:`repro.faults`) simulate the *same* task
-graph many times, varying only the duration column — the structure
-(dependencies, resources, priorities, memory effects) is fixed per plan.
-The per-seed path pays the full cost every time: rebuild the graph, re-intern
-resources, re-run the event loop from t=0.  :func:`run_batched` instead
-compiles the graph once and advances every scenario through shared loop
-state:
+:class:`_BatchRunner` is the only production event loop.  It executes a
+:class:`~repro.sim.compiled.CompiledTaskGraph` with a *waiter heap per
+resource slot*: an op found blocked at dispatch time parks on the first
+busy resource it needs, and a completion event only promotes the best
+waiter of each resource it just freed (plus newly-woken successors) —
+unlike the reference loop in :mod:`repro.check.reference`, which drains
+and re-pushes its entire ready heap on every completion (O(ready set) per
+event, quadratic under contention).
+
+The dispatch invariant that makes the waiter heaps *exact* (not merely a
+heuristic) is:
+
+* within one dispatch pass resources are only acquired, never released, so
+  an op blocked before the pass on a resource that was not freed by this
+  event cannot possibly start during it;
+* a parked op's registered resource is busy at registration time, so the op
+  cannot become runnable before that resource is freed;
+* at most one waiter per *free* resource sits in the candidate heap at a
+  time, and it is always that queue's (priority, seq) minimum: when a
+  resource is freed its best waiter is promoted, and whenever a promoted
+  candidate parks on a *different* resource while its source is still free,
+  the source's next-best waiter is promoted in its place.  A queue stops
+  being drained only when its resource is re-acquired (nobody else parked
+  there could start anyway) or the queue empties — so every op the
+  reference greedy pass would start is considered, in the same order.
+
+Candidates are ordered by the same ``(priority, submission-seq)`` key as the
+reference ready heap, and the submission sequence is assigned at the same
+points (graph order for roots, wake order for successors), so event order,
+makespans, and memory timelines are **bit-identical** to the reference
+loop — enforced by ``tests/sim/test_compiled_equivalence.py``.
+
+A single run (:func:`repro.sim.compiled.run_compiled`) is one row.
+Monte-Carlo fault ensembles (:mod:`repro.faults`) simulate the *same* graph
+many times, varying only the duration column; :func:`run_batched` advances
+every scenario through shared loop state:
 
 * **Scenario-major layout** — durations arrive as one ``(S, ops)`` float64
   matrix; row ``s`` is scenario ``s``'s duration column.  All structural
   columns (adjacency, resource slots, priorities, memory effects, the
-  pre-sorted root set) are derived once from the
-  :class:`~repro.sim.compiled.CompiledTaskGraph` and reused by every row, as
-  are the per-resource waiter heaps and busy flags (both drain back to empty
-  when a scenario completes, so reuse is free).
+  pre-sorted root set) are derived once from the compiled graph and reused
+  by every row, as are the per-resource waiter heaps and busy flags (both
+  drain back to empty when a scenario completes, so reuse is free).
 * **Row dedup** — scenarios whose duration rows are bytewise identical share
   one simulation (common when a fault model's draw misses the graph).
 * **Incremental re-simulation** — while simulating the baseline row the
@@ -29,22 +57,21 @@ state:
   Scenarios that perturb early ops fall back to a full per-scenario run —
   same results, no savings.
 
-The event loop body is the compiled engine's (same (priority, submission
-seq) dispatch order, same completion-calendar drain), so per-scenario
-makespans, traces, and memory timelines are **bit-identical** to running
+Every scenario's makespan, trace, and memory timeline is bit-identical to
 :func:`repro.sim.compiled.run_compiled` on a graph rebuilt with that row —
 enforced by ``tests/sim/test_batched_equivalence.py`` and the
 ``repro check`` oracles.
 
 Observability is pre-aggregated: the loop appends per-timestamp completion
 batch sizes and waiter depths (an O(1) incremental counter, not an O(R)
-scan) to plain lists shared across the whole batch, and records them with
-one bulk :meth:`~repro.obs.metrics.Histogram.observe_many` call per batch —
+scan) to plain lists, and records them with one bulk
+:meth:`~repro.obs.metrics.Histogram.observe_many` call per run or batch —
 this is what brings obs-enabled simulation overhead under 20%.
 """
 
 from __future__ import annotations
 
+import contextlib
 import gc
 import heapq
 
@@ -55,7 +82,6 @@ from repro.sim.compiled import (
     ColumnarMemoryTimeline,
     ColumnarTrace,
     CompiledTaskGraph,
-    compile_graph,
 )
 from repro.sim.trace import PHASE_END, PHASE_START
 
@@ -73,8 +99,7 @@ DEFAULT_SNAPSHOTS = 8
 #: Below this op count a full re-run is cheaper than snapshot bookkeeping.
 _INCREMENTAL_MIN_OPS = 512
 
-#: Histogram buckets shared with the compiled engine (same metric names, so
-#: summaries unify across engines).
+#: Histogram buckets of the loop's per-timestamp samples.
 _WAITER_BUCKETS = (0, 1, 2, 4, 8, 16, 32, 64, 128)
 _BATCH_BUCKETS = (1, 2, 4, 8, 16, 32, 64, 128)
 
@@ -131,21 +156,21 @@ class _BatchRunner:
             # All-empty effect columns: the loop's ``if ms:`` guards never
             # fire, so skipping memory costs nothing extra per op.
             self.mem_start = self.mem_end = [()] * n
-        self.pred0 = list(cg._pred_list)
+        pred0 = self.pred0 = list(cg._pred_list)
         self.busy = [False] * cg.num_resources
         self.waiters: list[list] = [[] for _ in range(cg.num_resources)]
-        # Roots carry the same (priority, seq, id) tuples the compiled loop
-        # would build — seq assigned in graph order — pre-sorted once.
+        # Roots as (priority, seq, id) tuples — seq assigned in graph
+        # order, the reference's submission order — pre-sorted once.
         roots = []
         seq = 0
         for i in range(n):
-            if not self.pred0[i]:
+            if not pred0[i]:
                 roots.append((prio[i], seq, i))
                 seq += 1
         roots.sort()
         self.roots = roots
         self.root_seq = seq
-        # Per-batch obs pre-aggregation (bulk-recorded by run_batched).
+        # Obs pre-aggregation, bulk-recorded by _record_loop_histograms.
         self.batch_sizes: list | None = [] if track else None
         self.depths: list | None = [] if track else None
 
@@ -210,10 +235,20 @@ class _BatchRunner:
         snaps: list[_Snapshot] = []
         ti = 0
 
+        # Freshly-woken ops go to the plain ``fresh`` list — (priority,
+        # seq, op id), seq assigned at wake time.  Each dispatch pass sorts
+        # it once and merge-walks it against the candidate heap ``cand``,
+        # which holds only *promoted waiters* as (priority, seq, op id,
+        # source slot): ``source`` is the resource slot whose waiter queue
+        # produced the candidate — if it parks elsewhere while its source is
+        # still free, the source's next waiter is promoted so the queue's
+        # minimum stays represented.  The completion calendar is a heap of
+        # *distinct* end times plus a bucket of (seq, op id) pairs per time:
+        # ops complete in large batches at shared timestamps, so one heap
+        # operation is amortized over a whole batch.
         while True:
-            # Dispatch pass — identical to the compiled engine's: start
-            # candidates in (priority, seq) order, park blocked ones on the
-            # first busy resource they need.
+            # Dispatch pass: start candidates in (priority, seq) order; park
+            # blocked ones on the first busy resource they need.
             fn = len(fresh)
             if fn > 1:
                 fresh.sort()
@@ -238,11 +273,16 @@ class _BatchRunner:
                     pr, sq, i, src = heappop(cand)
                 else:
                     break
+                # The resource column is shape-specialized: a bare int (the
+                # common single-resource op) skips tuple iteration; None
+                # means no resources at all.
                 rs = res[i]
                 if type(rs) is int:
                     if busy[rs]:
                         heappush(waiters[rs], (pr, sq, i))
                         parked += 1
+                        # The candidate left its source queue without
+                        # acquiring it: promote that queue's next waiter.
                         if src >= 0 and not busy[src]:
                             w = waiters[src]
                             if w:
@@ -297,6 +337,9 @@ class _BatchRunner:
             if not run_times:
                 break
             now = heappop(run_times)
+            # Drain every completion at this instant before dispatching, so
+            # resources freed simultaneously are all visible; seq order
+            # restores the reference's tie-break.
             batch = run_bucket.pop(now)
             if track:
                 # Pre-aggregate per distinct timestamp: the waiter depth is
@@ -335,7 +378,8 @@ class _BatchRunner:
                         seq += 1
 
         if len(order_col) != n:
-            # Cold path — same diagnostics as the compiled engine.
+            # Cold path: tell a structural dependency cycle (the canonical
+            # ValueError) from a genuine resource deadlock.
             indeg = list(self.pred0)
             queue = [i for i, d in enumerate(indeg) if not d]
             seen = 0
@@ -546,24 +590,46 @@ def run_batched(
         )
     if S == 0:
         raise ValueError("need at least one scenario row")
-    if n and float(rows.min()) < 0:
-        s, i = np.unravel_index(int(rows.argmin()), rows.shape)
+    # min/max propagate NaN, so one pass each screens NaN, inf and < 0.
+    if n and not (rows.min() >= 0.0 and rows.max() < np.inf):
+        s, i = np.argwhere(~((rows >= 0.0) & (rows < np.inf)))[0]
+        kind = "negative" if rows[s, i] < 0 else "non-finite"
         raise ValueError(
-            f"perturbed duration for op {cg.ops[int(i)].name!r} is negative "
+            f"perturbed duration for op {cg.ops[int(i)].name!r} is {kind} "
             f"({rows[s, i]}) in scenario {s}"
         )
     track = obs.enabled()
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        with obs.span("sim.run_batched", scenarios=S, ops=n):
-            sim = _run_batch(cg, rows, record_memory, snapshots, track)
-    finally:
-        if gc_was_enabled:
-            gc.enable()
+    with _gc_paused(), obs.span("sim.run_batched", scenarios=S, ops=n):
+        sim = _run_batch(cg, rows, record_memory, snapshots, track)
     if track:
         _record_batch_metrics(sim)
     return sim
+
+
+@contextlib.contextmanager
+def _gc_paused():
+    """Pause the cyclic garbage collector (restored on exit): the event
+    loop allocates millions of small tuples that can never form cycles, and
+    generational scans over them cost ~30% of the run time on large graphs.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def _record_loop_histograms(runner: "_BatchRunner") -> None:
+    """One bulk histogram call per series for everything ``runner`` ran —
+    the loop itself only did list appends."""
+    obs.histogram(
+        "sim.waiter_depth", buckets=_WAITER_BUCKETS
+    ).observe_many(runner.depths)
+    obs.histogram(
+        "sim.completion_batch", buckets=_BATCH_BUCKETS
+    ).observe_many(runner.batch_sizes)
 
 
 def _run_batch(cg, rows, record_memory, snapshots, track) -> BatchedSimulation:
@@ -630,14 +696,7 @@ def _run_batch(cg, rows, record_memory, snapshots, track) -> BatchedSimulation:
         mems.append(m)
 
     if track:
-        # One bulk histogram call per series for the whole batch — the loop
-        # itself only did list appends.
-        obs.histogram(
-            "sim.waiter_depth", buckets=_WAITER_BUCKETS
-        ).observe_many(runner.depths)
-        obs.histogram(
-            "sim.completion_batch", buckets=_BATCH_BUCKETS
-        ).observe_many(runner.batch_sizes)
+        _record_loop_histograms(runner)
 
     return BatchedSimulation(
         cg, rows, orders, ends, mems if record_memory else None, tuple(kinds),
@@ -650,13 +709,3 @@ def _record_batch_metrics(sim: BatchedSimulation) -> None:
     obs.counter("sim.batched_scenarios").inc(len(kinds))
     obs.counter("sim.batched_reused").inc(kinds.count("reused"))
     obs.counter("sim.batched_incremental").inc(kinds.count("incremental"))
-
-
-def run_batched_graph(graph, durations=None, **kwargs) -> BatchedSimulation:
-    """Convenience wrapper: compile ``graph`` and run its own durations
-    (plus any extra rows) batched.  ``durations=None`` runs the single
-    unperturbed row."""
-    cg = compile_graph(graph)
-    if durations is None:
-        durations = cg.durations[None, :]
-    return run_batched(cg, durations, **kwargs)

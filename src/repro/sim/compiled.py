@@ -1,43 +1,15 @@
-"""Compiled simulator core: indexed task graphs + waiter-queue dispatch.
+"""Compiled task graphs and the columnar trace/memory types.
 
 :func:`compile_graph` presents a :class:`~repro.sim.engine.TaskGraph` as a
-:class:`CompiledTaskGraph`: integer op ids in submission order, CSR-style
-successor/predecessor arrays, resource keys and memory-effect devices
+:class:`CompiledTaskGraph`: integer op ids in submission order, int-id
+successor lists, resource keys and memory-effect devices
 interned to dense slots, and durations/priorities/memory deltas as numpy
 columns (materialized lazily — the event loop itself runs on plain-python
 views, which are several times faster to index one element at a time).
 The underlying columns are maintained incrementally by ``TaskGraph.add`` /
 ``add_dep``, so compilation is an O(1) wrap, not a per-op pass.
-:func:`run_compiled` then executes the lowered graph with an event loop
-that keeps a *waiter heap per resource slot*: an op found blocked at
-dispatch time parks on the first busy resource it needs, and a completion
-event only promotes the best waiter of each resource it just freed (plus
-newly-woken successors) — unlike the reference engine in
-:mod:`repro.sim.engine`, which drains and re-pushes its entire ready heap
-on every completion (O(ready set) per event, quadratic under contention).
-
-The dispatch invariant that makes the waiter heaps *exact* (not merely a
-heuristic) is:
-
-* within one dispatch pass resources are only acquired, never released, so
-  an op blocked before the pass on a resource that was not freed by this
-  event cannot possibly start during it;
-* a parked op's registered resource is busy at registration time, so the op
-  cannot become runnable before that resource is freed;
-* at most one waiter per *free* resource sits in the candidate heap at a
-  time, and it is always that queue's (priority, seq) minimum: when a
-  resource is freed its best waiter is promoted, and whenever a promoted
-  candidate parks on a *different* resource while its source is still free,
-  the source's next-best waiter is promoted in its place.  A queue stops
-  being drained only when its resource is re-acquired (nobody else parked
-  there could start anyway) or the queue empties — so every op the
-  reference greedy pass would start is considered, in the same order.
-
-Candidates are ordered by the same ``(priority, submission-seq)`` key as the
-reference ready heap, and the submission sequence is assigned at the same
-points (graph order for roots, wake order for successors), so event order,
-makespans, and memory timelines are **bit-identical** to the reference
-engine — enforced by ``tests/sim/test_compiled_equivalence.py``.
+:func:`run_compiled` executes the lowered graph on the simulator's event
+loop (:mod:`repro.sim.batched`) as a one-row run.
 
 Traces and memory deltas are recorded into columnar buffers;
 :class:`ColumnarTrace` / :class:`ColumnarMemoryTimeline` materialize the
@@ -47,19 +19,17 @@ lists lazily, on first access.
 
 from __future__ import annotations
 
-import gc
-import heapq
 import itertools
 import operator
 from functools import cached_property
 
 import numpy as np
 
+import repro.obs as obs
 from repro.sim.trace import (
     MemoryTimeline,
     Trace,
     TraceEvent,
-    PHASE_END,
     PHASE_START,
 )
 
@@ -67,15 +37,15 @@ class CompiledTaskGraph:
     """A :class:`~repro.sim.engine.TaskGraph` lowered to dense indices.
 
     The canonical storage is plain-python columns (lists indexed by op id,
-    adjacency as tuples of int ids) because the event loop interprets them
-    element-wise; the numpy views (``durations``, ``priorities``,
-    ``pred_count``, and the CSR pairs) are cached properties materialized
-    on first access for vectorized analyses and the columnar trace.
+    adjacency as lists of int ids) because the event loop interprets them
+    element-wise; the numpy views (``durations``, ``priorities``, and the
+    resource incidence) are cached properties materialized on first access
+    for vectorized analyses and the columnar trace.
     """
 
     def __init__(self, ops, succ_lists, res_lists, pred_count, resource_keys,
                  device_keys, mem_start, mem_end, id_of,
-                 durations=None, priorities=None, res_flat=None):
+                 durations, priorities, res_flat):
         #: Original Op objects in id order (id = submission order); names,
         #: tags, and resource-key tuples are read from here when trace rows
         #: are lazily materialized.
@@ -86,19 +56,13 @@ class CompiledTaskGraph:
         #: Per-op start/end memory effects as tuples of (device_slot, delta).
         self.mem_start = mem_start
         self.mem_end = mem_end
-        self._dur_list = (
-            [op.duration for op in ops] if durations is None else durations
-        )
-        self._prio_list = (
-            [op.priority for op in ops] if priorities is None else priorities
-        )
+        self._dur_list = durations
+        self._prio_list = priorities
         self._succ_lists = succ_lists
         self._res_lists = res_lists
         self._pred_list = pred_count
-        #: Optional pre-flattened (op ids, resource slots) incidence columns
-        #: maintained incrementally by the graph (same op-major order the
-        #: CSR expansion would produce); ``res_incidence`` wraps them
-        #: directly instead of rebuilding the CSR on the first query.
+        #: Pre-flattened (op ids, resource slots) incidence columns
+        #: maintained incrementally by the graph.
         self._res_flat = res_flat
 
     @property
@@ -118,41 +82,15 @@ class CompiledTaskGraph:
         return np.array(self._prio_list, dtype=np.float64)
 
     @cached_property
-    def pred_count(self) -> np.ndarray:
-        return np.array(self._pred_list, dtype=np.int64)
-
-    @cached_property
-    def succ_csr(self) -> tuple[np.ndarray, np.ndarray]:
-        """CSR adjacency: successors of op ``i`` live at
-        ``indices[indptr[i]:indptr[i+1]]``."""
-        return _to_csr(self._succ_lists)
-
-    @cached_property
-    def res_csr(self) -> tuple[np.ndarray, np.ndarray]:
-        """CSR op→resource-slot incidence (same layout as :attr:`succ_csr`)."""
-        # The resource column is shape-specialized (None / int / tuple) for
-        # the event loop; normalize to tuples for CSR packing.
-        return _to_csr([
-            () if rs is None else (rs,) if type(rs) is int else rs
-            for rs in self._res_lists
-        ])
-
-    @cached_property
     def res_incidence(self) -> tuple[np.ndarray, np.ndarray]:
         """Flattened op×resource incidence: parallel (op id, resource slot)
         arrays, op-major with each op's slots in declaration order — the
         expansion batched analyses sort per scenario."""
-        if self._res_flat is not None:
-            ops_l, slots_l = self._res_flat
-            return (
-                np.array(ops_l, dtype=np.int64),
-                np.array(slots_l, dtype=np.int64),
-            )
-        indptr, indices = self.res_csr
-        ops_e = np.repeat(
-            np.arange(self.num_ops, dtype=np.int64), np.diff(indptr)
+        ops_l, slots_l = self._res_flat
+        return (
+            np.array(ops_l, dtype=np.int64),
+            np.array(slots_l, dtype=np.int64),
         )
-        return ops_e, indices
 
     @cached_property
     def slot_of(self) -> dict:
@@ -169,16 +107,6 @@ class CompiledTaskGraph:
             for j in succs:
                 preds[j].append(i)
         return preds
-
-
-def _to_csr(lists) -> tuple[np.ndarray, np.ndarray]:
-    """Pack a list of index tuples into (indptr, indices) CSR arrays."""
-    indptr = np.zeros(len(lists) + 1, dtype=np.int64)
-    np.cumsum([len(x) for x in lists], out=indptr[1:])
-    indices = np.fromiter(
-        (i for xs in lists for i in xs), dtype=np.int64, count=int(indptr[-1])
-    )
-    return indptr, indices
 
 
 def compile_graph(graph) -> CompiledTaskGraph:
@@ -204,7 +132,7 @@ def compile_graph(graph) -> CompiledTaskGraph:
         graph._id_of,
         graph._dur_col,
         graph._prio_col,
-        res_flat=(graph._res_flat_ops, graph._res_flat_slots),
+        (graph._res_flat_ops, graph._res_flat_slots),
     )
 
 
@@ -229,7 +157,7 @@ class ColumnarTrace(Trace):
         self._compiled = compiled
         self._order = order
         self._ends_list = ends
-        # Per-scenario duration override (batched engine): the compiled
+        # Per-scenario duration override (batched runs): the compiled
         # graph's column describes the clean graph, not the row simulated.
         self._durations = durations
         self._events: list[TraceEvent] | None = None
@@ -449,258 +377,27 @@ class ColumnarMemoryTimeline(MemoryTimeline):
 
 
 def run_compiled(cg: CompiledTaskGraph):
-    """Execute a compiled graph; returns a SimulationResult.
+    """Execute a compiled graph on its own durations; returns a
+    SimulationResult.
 
-    Bit-identical to ``Simulator._run_reference`` by construction: same
+    A one-row run of the simulator's single event loop
+    (:class:`repro.sim.batched._BatchRunner`), bit-identical to
+    :func:`repro.check.reference.run_reference` by construction: same
     (priority, submission-seq) dispatch order, same completion drain at
     simultaneous timestamps, same memory-record multiset per device.
-
-    The cyclic garbage collector is paused for the duration of the loop
-    (restored on exit): the loop allocates millions of small tuples that
-    can never form cycles, and generational scans over them cost ~30% of
-    the run time on large graphs.
     """
-    import repro.obs as obs
+    from repro.sim.batched import _BatchRunner, _gc_paused, _record_loop_histograms
     from repro.sim.engine import SimulationResult
 
-    # Pre-aggregation buffers: the loop appends per-timestamp samples to
-    # plain lists; the histograms are recorded in one bulk observe_many call
-    # each after the run, keeping the enabled-path overhead on the loop to
-    # two list appends per distinct completion timestamp.
-    stats = ([], []) if obs.enabled() else None
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        result = _run_compiled_loop(cg, SimulationResult, stats)
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-    if stats is not None:
-        obs.histogram(
-            "sim.waiter_depth", buckets=(0, 1, 2, 4, 8, 16, 32, 64, 128)
-        ).observe_many(stats[0])
-        obs.histogram(
-            "sim.completion_batch", buckets=(1, 2, 4, 8, 16, 32, 64, 128)
-        ).observe_many(stats[1])
-    return result
-
-
-def _run_compiled_loop(cg: CompiledTaskGraph, SimulationResult, stats=None):
-    n = cg.num_ops
-    # Round-trip the float columns through numpy: the graph's floats were
-    # allocated piecemeal during construction and are scattered across the
-    # heap; .tolist() re-materializes them contiguously, which measurably
-    # cuts cache misses in the loop below on large graphs.
-    dur = cg.durations.tolist()
-    prio = cg.priorities.tolist()
-    succ = cg._succ_lists
-    res = cg._res_lists
-    mem_start = cg.mem_start
-    mem_end = cg.mem_end
-    pred_left = list(cg._pred_list)
-    busy = [False] * cg.num_resources
-    # Per-resource waiter heaps of (priority, seq, op id).  At most one
-    # representative of each free resource's queue — always its minimum —
-    # sits in the candidate heap at a time, so a completion costs O(log W)
-    # in its waiters rather than re-examining all of them.
-    waiters: list[list[tuple[float, int, int]]] = [
-        [] for _ in range(cg.num_resources)
-    ]
-    heappush = heapq.heappush
-    heappop = heapq.heappop
-    P_START = PHASE_START
-    P_END = PHASE_END
-
-    # Parallel trace columns (op id, end time) in completion order and the
-    # packed memory stream: one (time, phase, effects) row per op side with
-    # effects.  All plain list appends in the loop — no per-event objects.
-    order_col: list[int] = []
-    ends_col: list[float] = []
-    mem_rows: list[tuple] = []
-    add_ord = order_col.append
-    add_end = ends_col.append
-    add_mem = mem_rows.append
-
-    # Freshly-woken ops go to a plain ``fresh`` list — (priority, seq, op
-    # id), seq assigned at wake time in reference order (graph order for
-    # roots, wake order for successors).  Each dispatch pass sorts it once
-    # and merge-walks it against the candidate heap, which holds only
-    # *promoted waiters* as (priority, seq, op id, source slot): ``source``
-    # is the resource slot whose waiter queue produced the candidate — if it
-    # parks elsewhere while its source is still free, the source's next
-    # waiter is promoted so the queue's minimum stays represented.  In the
-    # common un-contended case a woken op therefore costs two list appends
-    # and one sorted-list read instead of two heap operations.
-    seq = 0
-    fresh: list[tuple[float, int, int]] = []
-    add_fresh = fresh.append
-    for i in range(n):
-        if not pred_left[i]:
-            add_fresh((prio[i], seq, i))
-            seq += 1
-    cand: list[tuple[float, int, int, int]] = []
-    # Total ops currently parked across all waiter heaps, maintained
-    # incrementally so the per-timestamp obs sample below is O(1) instead of
-    # an O(resources) scan.
-    parked = 0
-    if stats is not None:
-        depth_samples, batch_samples = stats
-
-    # Completion calendar: a heap of *distinct* end times plus a bucket of
-    # (seq, op id) pairs per time.  Simulated ops complete in large batches
-    # at shared timestamps (every micro-batch tick retires one op per
-    # device), so one heap operation is amortized over a whole batch; the
-    # reference's (end-time, seq) pop order is recovered by sorting each
-    # bucket on seq as it is drained.
-    run_bucket: dict[float, list[tuple[int, int]]] = {}
-    run_times: list[float] = []
-    get_bucket = run_bucket.get
-    now = 0.0
-
-    while True:
-        # Dispatch pass: start candidates in (priority, seq) order; park
-        # blocked ones on the first busy resource they need.  ``fresh`` is
-        # consumed front-to-back after sorting; ``cand`` only ever receives
-        # promoted waiters, so it is empty whenever nothing is parked.
-        fn = len(fresh)
-        if fn > 1:
-            fresh.sort()
-        fi = 0
-        while True:
-            if fi < fn:
-                f = fresh[fi]
-                if cand:
-                    c0 = cand[0]
-                    fp = f[0]
-                    if c0[0] < fp or (c0[0] == fp and c0[1] < f[1]):
-                        pr, sq, i, src = heappop(cand)
-                    else:
-                        pr, sq, i = f
-                        src = -1
-                        fi += 1
-                else:
-                    pr, sq, i = f
-                    src = -1
-                    fi += 1
-            elif cand:
-                pr, sq, i, src = heappop(cand)
-            else:
-                break
-            # The resource column is shape-specialized: a bare int (the
-            # overwhelmingly common single-resource op) skips tuple
-            # iteration entirely; None means no resources at all.
-            rs = res[i]
-            if type(rs) is int:
-                if busy[rs]:
-                    heappush(waiters[rs], (pr, sq, i))
-                    parked += 1
-                    # The candidate left its source queue without acquiring
-                    # the source: promote that queue's next waiter (if the
-                    # source is still free) so its minimum stays in ``cand``.
-                    if src >= 0 and not busy[src]:
-                        w = waiters[src]
-                        if w:
-                            wp, ws, wi = heappop(w)
-                            parked -= 1
-                            heappush(cand, (wp, ws, wi, src))
-                    continue
-                busy[rs] = True
-            elif rs is not None:
-                r_blocked = -1
-                for r in rs:
-                    if busy[r]:
-                        r_blocked = r
-                        break
-                if r_blocked >= 0:
-                    heappush(waiters[r_blocked], (pr, sq, i))
-                    parked += 1
-                    if src >= 0 and not busy[src]:
-                        w = waiters[src]
-                        if w:
-                            wp, ws, wi = heappop(w)
-                            parked -= 1
-                            heappush(cand, (wp, ws, wi, src))
-                    continue
-                for r in rs:
-                    busy[r] = True
-            ms = mem_start[i]
-            if ms:
-                add_mem((now, P_START, ms))
-            end = now + dur[i]
-            b = get_bucket(end)
-            if b is None:
-                run_bucket[end] = [(sq, i)]
-                heappush(run_times, end)
-            else:
-                b.append((sq, i))
-        del fresh[:]
-
-        if not run_times:
-            break
-        now = heappop(run_times)
-        # Drain every completion at this instant before dispatching, so
-        # resources freed simultaneously are all visible (and their waiters
-        # all enter the same candidate heap).  The bucket may mix ops
-        # started in different dispatch passes; seq order restores the
-        # reference's tie-break.
-        batch = run_bucket.pop(now)
-        if stats is not None:
-            # One branch per distinct timestamp, not per op; samples land in
-            # plain lists and are histogram-recorded in bulk after the loop.
-            batch_samples.append(len(batch))
-            depth_samples.append(parked)
-        batch.sort()
-        for sq, i in batch:
-            rs = res[i]
-            if type(rs) is int:
-                busy[rs] = False
-                w = waiters[rs]
-                if w:
-                    wp, ws, wi = heappop(w)
-                    parked -= 1
-                    heappush(cand, (wp, ws, wi, rs))
-            elif rs is not None:
-                for r in rs:
-                    busy[r] = False
-                    w = waiters[r]
-                    if w:
-                        wp, ws, wi = heappop(w)
-                        parked -= 1
-                        heappush(cand, (wp, ws, wi, r))
-            me = mem_end[i]
-            if me:
-                add_mem((now, P_END, me))
-            add_ord(i)
-            add_end(now)
-            for s in succ[i]:
-                c = pred_left[s] - 1
-                pred_left[s] = c
-                if not c:
-                    add_fresh((prio[s], seq, s))
-                    seq += 1
-
-    if len(order_col) != n:
-        # Cold path: distinguish a structural dependency cycle (the
-        # canonical ValueError, historically raised up front by
-        # ``validate_acyclic``) from a genuine resource deadlock.
-        indeg = list(cg._pred_list)
-        queue = [i for i, d in enumerate(indeg) if not d]
-        seen = 0
-        while queue:
-            u = queue.pop()
-            seen += 1
-            for v in succ[u]:
-                c = indeg[v] - 1
-                indeg[v] = c
-                if not c:
-                    queue.append(v)
-        if seen != n:
-            raise ValueError("task graph contains a dependency cycle")
-        stuck = [cg.ops[i].name for i in range(n) if pred_left[i] > 0]
-        raise RuntimeError(
-            f"simulation deadlocked: {n - len(order_col)} ops never ran "
-            f"(first few blocked: {stuck[:5]})"
+    track = obs.enabled()
+    with _gc_paused():
+        runner = _BatchRunner(cg, True, track)
+        order, ends, mem_rows, _ = runner.run(cg.durations.tolist())
+        trace = ColumnarTrace(cg, order, ends)
+        memory = ColumnarMemoryTimeline(cg.device_keys, mem_rows)
+        result = SimulationResult(
+            makespan=trace.makespan(), trace=trace, memory=memory
         )
-    trace = ColumnarTrace(cg, order_col, ends_col)
-    memory = ColumnarMemoryTimeline(cg.device_keys, mem_rows)
-    return SimulationResult(makespan=trace.makespan(), trace=trace, memory=memory)
+    if track:
+        _record_loop_histograms(runner)
+    return result

@@ -21,34 +21,29 @@ that produces the makespan.
 
 Two engines implement these semantics:
 
-* ``"compiled"`` (default) — :mod:`repro.sim.compiled` lowers the graph to
-  integer op ids, CSR adjacency, and interned resource slots, and dispatches
-  with per-resource waiter queues so a completion only re-examines ops
-  actually blocked on the freed resources.  Traces and memory deltas land in
-  columnar buffers with lazy :class:`~repro.sim.trace.TraceEvent`
-  materialization.
-* ``"reference"`` — the original name-keyed drain-everything loop below,
-  kept as the bit-identical oracle for debugging and equivalence testing
+* ``"compiled"`` (default) — :mod:`repro.sim.compiled` presents the graph's
+  indexed columns (integer op ids, int adjacency, interned resource slots)
+  and the single event loop of :mod:`repro.sim.batched` runs them as a
+  one-row batch, dispatching with per-resource waiter queues so a
+  completion only re-examines ops actually blocked on the freed resources.
+  Traces and memory deltas land in columnar buffers with lazy
+  :class:`~repro.sim.trace.TraceEvent` materialization.
+* ``"reference"`` — the name-keyed drain-everything loop of
+  :func:`repro.check.reference.run_reference`, kept as the bit-identical
+  oracle for debugging and equivalence testing
   (``tests/sim/test_compiled_equivalence.py``).
-* ``"batched"`` — the multi-scenario engine (:mod:`repro.sim.batched`)
-  invoked as a one-row batch; same loop body as compiled, same results.
-  Fault ensembles use it directly with a whole (seeds × ops) duration
-  matrix, which is where it earns its keep.
 
-Select globally with the ``REPRO_SIM_ENGINE`` environment variable or per
-run via ``Simulator(graph, engine=...)``.
+Select per run via ``Simulator(graph, engine=...)``.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
+import math
 import os
 from dataclasses import dataclass, field
 
 import repro.obs as obs
-from repro.sim.resources import ResourcePool
-from repro.sim.trace import MemoryTimeline, Trace, TraceEvent, PHASE_END, PHASE_START
+from repro.sim.trace import MemoryTimeline, Trace
 
 
 @dataclass
@@ -69,9 +64,10 @@ class Op:
     name:
         Unique human-readable id (also used to express dependencies).
     duration:
-        Busy time in seconds; zero-duration ops are allowed (barriers).
+        Finite, non-negative busy time in seconds; zero-duration ops are
+        allowed (barriers).
     resources:
-        Resource keys held exclusively for ``duration``.
+        Distinct resource keys held exclusively for ``duration``.
     priority:
         Lower runs first among simultaneously-ready ops.  The runtime uses
         this to keep the intended micro-batch interleaving when a device has
@@ -94,9 +90,14 @@ class Op:
     mem_effects: list = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        if self.duration < 0:
-            raise ValueError(f"op {self.name!r} has negative duration {self.duration}")
-        self.resources = tuple(self.resources)
+        if not 0.0 <= self.duration < math.inf:
+            kind = "negative" if self.duration < 0 else "non-finite"
+            raise ValueError(f"op {self.name!r} has {kind} duration {self.duration}")
+        resources = self.resources = tuple(self.resources)
+        if len(resources) > 1 and len(set(resources)) != len(resources):
+            raise ValueError(
+                f"op {self.name!r} names a resource more than once: {resources}"
+            )
 
 
 class TaskGraph:
@@ -246,21 +247,16 @@ class SimulationResult:
         return self.memory.peak(device)
 
 
-#: Valid ``Simulator(engine=...)`` values.  ``"batched"`` routes a single
-#: run through the multi-scenario engine (:mod:`repro.sim.batched`) as a
-#: one-row batch — bit-identical to ``"compiled"``; its real payoff is
-#: multi-seed ensembles (``repro.faults``), which hand the batched engine a
-#: whole duration matrix at once.
-ENGINES = ("compiled", "reference", "batched")
+#: Valid ``Simulator(engine=...)`` values.
+ENGINES = ("compiled", "reference")
 
 
 class Simulator:
     """Executes a :class:`TaskGraph` and returns a :class:`SimulationResult`.
 
     ``engine`` selects the event loop: ``"compiled"`` (indexed task graph +
-    waiter-queue dispatch, the default) or ``"reference"`` (the oracle loop,
-    bit-identical but slower).  ``engine=None`` reads the
-    ``REPRO_SIM_ENGINE`` environment variable, falling back to compiled.
+    waiter-queue dispatch, the default) or ``"reference"`` (the oracle loop
+    in :mod:`repro.check.reference`, bit-identical but slower).
 
     Graph validation is lazy: a dependency cycle surfaces as a
     ``ValueError`` from :meth:`run` (an acyclic graph can never deadlock in
@@ -270,9 +266,7 @@ class Simulator:
     pre-pass).
     """
 
-    def __init__(self, graph: TaskGraph, engine: str | None = None) -> None:
-        if engine is None:
-            engine = os.environ.get("REPRO_SIM_ENGINE", "compiled")
+    def __init__(self, graph: TaskGraph, engine: str = "compiled") -> None:
         if engine not in ENGINES:
             raise ValueError(f"unknown sim engine {engine!r} (one of {ENGINES})")
         self._graph = graph
@@ -310,110 +304,13 @@ class Simulator:
 
     def _run(self) -> SimulationResult:
         if self.engine == "reference":
-            return self._run_reference()
-        if self.engine == "batched":
-            from repro.sim.batched import run_batched
-            from repro.sim.compiled import compile_graph
+            from repro.check.reference import run_reference
 
-            cg = compile_graph(self._graph)
-            # One-row batch over the graph's own duration column; no
-            # snapshots — there is nothing to replay incrementally.
-            return run_batched(
-                cg, cg.durations[None, :], snapshots=0
-            ).result(0)
+            return run_reference(self._graph)
+        # Looked up at call time so the compile step can be wrapped.
         from repro.sim.compiled import compile_graph, run_compiled
 
         return run_compiled(compile_graph(self._graph))
-
-    def _run_reference(self) -> SimulationResult:
-        graph = self._graph
-        pool = ResourcePool()
-        trace = Trace()
-        memory = MemoryTimeline()
-
-        pred_left = dict(graph._pred_count)
-        seq = itertools.count()
-        op_ids = {op.name: i for i, op in enumerate(graph.ops())}
-
-        # Ready heap: (priority, submission-sequence, name).
-        ready: list[tuple[float, int, str]] = []
-        for op in graph.ops():
-            if pred_left[op.name] == 0:
-                heapq.heappush(ready, (op.priority, next(seq), op.name))
-
-        # Completion heap: (end-time, sequence, name).
-        running: list[tuple[float, int, str]] = []
-        now = 0.0
-        completed = 0
-
-        def try_dispatch() -> None:
-            """Start every ready op whose resources are free, priority order."""
-            skipped: list[tuple[float, int, str]] = []
-            while ready:
-                prio, sq, name = heapq.heappop(ready)
-                op = graph.op(name)
-                if pool.try_acquire(op.resources, op_ids[name]):
-                    for eff in op.mem_effects:
-                        if not eff.at_end:
-                            memory.record(eff.device, now, eff.delta, PHASE_START)
-                    heapq.heappush(running, (now + op.duration, sq, name))
-                else:
-                    skipped.append((prio, sq, name))
-            for item in skipped:
-                heapq.heappush(ready, item)
-
-        def _complete(name: str, end: float) -> bool:
-            """Retire one finished op: release resources, settle memory,
-            trace it, and wake successors.  Returns True when the dispatch
-            state may have changed (resources freed or new ops ready) —
-            False means a rescan of the ready heap would be a no-op.
-            """
-            nonlocal completed
-            op = graph.op(name)
-            pool.release(op.resources, op_ids[name])
-            for eff in op.mem_effects:
-                if eff.at_end:
-                    memory.record(eff.device, end, eff.delta, PHASE_END)
-            trace.add(
-                TraceEvent(
-                    name=name,
-                    start=end - op.duration,
-                    end=end,
-                    resources=op.resources,
-                    tags=op.tags,
-                )
-            )
-            completed += 1
-            woke = False
-            for succ in graph._succ[name]:
-                pred_left[succ] -= 1
-                if pred_left[succ] == 0:
-                    heapq.heappush(ready, (graph.op(succ).priority, next(seq), succ))
-                    woke = True
-            return woke or bool(op.resources)
-
-        try_dispatch()
-        total = len(graph)
-        while running:
-            end, _, name = heapq.heappop(running)
-            now = end
-            changed = _complete(name, now)
-            # Also drain any other ops finishing at the same instant before
-            # dispatching, so resources freed simultaneously are all visible.
-            while running and running[0][0] == now:
-                _, _, name2 = heapq.heappop(running)
-                changed = _complete(name2, now) or changed
-            if changed:
-                try_dispatch()
-
-        if completed != total:
-            graph.validate_acyclic()  # a cycle raises the canonical ValueError
-            stuck = [n for n, c in pred_left.items() if c > 0]
-            raise RuntimeError(
-                f"simulation deadlocked: {total - completed} ops never ran "
-                f"(first few blocked: {stuck[:5]})"
-            )
-        return SimulationResult(makespan=trace.makespan(), trace=trace, memory=memory)
 
 
 def _record_sim_metrics(result: SimulationResult) -> None:

@@ -72,11 +72,9 @@ class TestCriticalPath:
 class TestRunEnsemble:
     MODELS = (SlowDevice(factor=2.0), ComputeJitter(sigma=0.1))
 
-    def _report(self, jobs=1, n=4):
+    def _report(self, n=4):
         prof, cluster, plan = small_setup()
-        return run_ensemble(
-            prof, cluster, plan, self.MODELS, range(n), jobs=jobs
-        )
+        return run_ensemble(prof, cluster, plan, self.MODELS, range(n))
 
     def test_report_statistics(self):
         rep = self._report()
@@ -99,11 +97,6 @@ class TestRunEnsemble:
         assert np.array_equal(a.makespans, b.makespans)
         assert a.outcomes == b.outcomes
 
-    def test_parallel_matches_serial(self):
-        serial, par = self._report(jobs=1), self._report(jobs=2)
-        assert np.array_equal(serial.makespans, par.makespans)
-        assert serial.outcomes == par.outcomes
-
     def test_empty_seed_list_rejected(self):
         prof, cluster, plan = small_setup()
         with pytest.raises(ValueError, match="seed"):
@@ -120,7 +113,7 @@ class TestLargeEnsemble:
         rep = run_ensemble(
             prof, clu, plan,
             (SlowDevice(factor=1.5), ComputeJitter(sigma=0.05)),
-            range(32), jobs=None,
+            range(32),
         )
         assert len(rep.outcomes) == 32
         assert rep.slowdown(0.95) > 1.0

@@ -155,3 +155,19 @@ class TestTransientFailure:
     def test_position_validated(self):
         with pytest.raises(ValueError, match="position"):
             TransientFailure(position=2.0)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda v: ComputeJitter(sigma=v),
+        lambda v: SlowDevice(factor=v),
+        lambda v: DegradedLink(factor=v),
+        lambda v: TransientFailure(stall=v),
+    ],
+    ids=["jitter-sigma", "straggler-factor", "link-factor", "stall"],
+)
+def test_non_finite_parameters_rejected(make, bad):
+    with pytest.raises(ValueError, match="finite"):
+        make(bad)

@@ -10,6 +10,7 @@ extra numpy work.
 import numpy as np
 import pytest
 
+from repro.check import per_seed_ensemble
 from repro.cluster import config_b
 from repro.core import profile_model
 from repro.core.plan import ParallelPlan, Stage
@@ -106,13 +107,12 @@ class TestPrecomputedClean:
         prof, cluster, plan = problem
         models = (ComputeJitter(sigma=0.1),)
         clean = evaluate_seed(prof, cluster, plan, (), seed=0)
-        for engine in ("batched", "compiled"):
-            with_clean = run_ensemble(
-                prof, cluster, plan, models, range(4),
-                sim_engine=engine, clean=clean,
-            )
-            without = run_ensemble(
-                prof, cluster, plan, models, range(4), sim_engine=engine
-            )
-            assert with_clean.clean is clean
-            assert with_clean.identical(without)
+        with_clean = run_ensemble(
+            prof, cluster, plan, models, range(4), clean=clean
+        )
+        without = run_ensemble(prof, cluster, plan, models, range(4))
+        assert with_clean.clean is clean
+        assert with_clean.identical(without)
+        assert with_clean.identical(
+            per_seed_ensemble(prof, cluster, plan, models, range(4))
+        )

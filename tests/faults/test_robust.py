@@ -76,7 +76,7 @@ class TestRobustSelectionShift:
             rob = robust_plan(
                 profile(name), cluster(cfg),
                 PAPER_FIGURES[name].global_batch_size,
-                models, range(8), top_k=4, jobs=None,
+                models, range(8), top_k=4,
             )
             flipped.append(rob.selection_changed)
         assert any(flipped)

@@ -1,10 +1,9 @@
 """Ensemble determinism: identical (graph, models, seeds) must yield an
-identical :class:`EnsembleReport` regardless of worker count or simulator
-engine (ISSUE 5 satellite).  Anything less would make robust-plan
-selection depend on ``--jobs``."""
+identical :class:`EnsembleReport` on every rerun, and the batched ensemble
+must match the per-seed oracle on either simulator engine.  Anything less
+would make robust-plan selection depend on how the ensemble was run."""
 
-import pytest
-
+from repro.check import per_seed_ensemble
 from repro.faults import ComputeJitter, SlowDevice, run_ensemble
 
 from tests.faults.test_inject import small_setup
@@ -13,31 +12,26 @@ SEEDS = tuple(range(6))
 MODELS = (SlowDevice(factor=1.6, num_devices=1), ComputeJitter(sigma=0.08))
 
 
-def _report(jobs=1, sim_engine=None):
+def _report():
     prof, cluster, plan = small_setup()
-    return run_ensemble(
-        prof, cluster, plan, MODELS, seeds=SEEDS,
-        jobs=jobs, sim_engine=sim_engine,
-    )
+    return run_ensemble(prof, cluster, plan, MODELS, seeds=SEEDS)
 
 
 class TestSeedStability:
     def test_rerun_is_identical(self):
         assert _report().identical(_report())
 
-    def test_identical_across_job_counts(self):
-        serial = _report(jobs=1)
-        forked = _report(jobs=2)
-        assert serial.identical(forked), (
-            "EnsembleReport differs between --jobs 1 and --jobs 2"
-        )
-
     def test_identical_across_sim_engines(self):
-        compiled = _report(sim_engine="compiled")
-        reference = _report(sim_engine="reference")
-        assert compiled.identical(reference), (
-            "EnsembleReport differs between compiled and reference engines"
-        )
+        prof, cluster, plan = small_setup()
+        batched = _report()
+        for engine in ("compiled", "reference"):
+            per_seed = per_seed_ensemble(
+                prof, cluster, plan, MODELS, SEEDS, sim_engine=engine
+            )
+            assert batched.identical(per_seed), (
+                f"EnsembleReport differs between the batched pass and the "
+                f"per-seed {engine} oracle"
+            )
 
     def test_seed_change_actually_changes_outcomes(self):
         # Guard against identical() passing vacuously: a different seed set

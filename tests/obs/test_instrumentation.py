@@ -133,7 +133,8 @@ class TestFaultsMetrics:
         assert names.count("faults.seed") == 0
 
     def test_per_seed_engine_publishes_seed_spans(self, small_problem):
-        from repro.faults import ComputeJitter, run_ensemble
+        from repro.check import per_seed_ensemble
+        from repro.faults import ComputeJitter
 
         prof, cluster = small_problem
         d = cluster.devices
@@ -141,15 +142,12 @@ class TestFaultsMetrics:
             prof.graph, [Stage(0, 3, (d[0],)), Stage(3, 6, (d[1],))], 16, 4
         )
         obs.enable()
-        run_ensemble(
+        per_seed_ensemble(
             prof, cluster, plan, (ComputeJitter(sigma=0.1),), range(4),
-            sim_engine="compiled",
         )
-        assert obs.registry().counter("faults.seeds_evaluated").value == 4
         names = [r.name for r in obs.tracer().spans()]
-        assert "faults.run_ensemble" in names
         assert names.count("faults.seed") == 5  # clean + 4 seeds
-        assert "perf.sweep" in names
+        assert names.count("sim.run") == 5
 
     def test_quantile_convergence_shape(self, small_problem):
         from repro.faults import ComputeJitter, run_ensemble

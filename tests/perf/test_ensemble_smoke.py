@@ -1,5 +1,5 @@
-"""Tier-1 guard: the batched ensemble engine must not lose to the
-per-seed path it replaces.
+"""Tier-1 guard: the batched ensemble must not lose to the per-seed
+oracle it replaces.
 
 The full 32-seed BERT-48 measurement (with the 3x-single-run target)
 lives in ``benchmarks/perf_ensemble.py`` and runs nightly; wall-clock
@@ -12,6 +12,7 @@ bit-for-bit, so a "win" can never come from skipped work.
 
 import time
 
+from repro.check import per_seed_ensemble
 from repro.cluster import config_a
 from repro.core import profile_model
 from repro.core.plan import ParallelPlan, Stage
@@ -34,21 +35,21 @@ def test_batched_ensemble_beats_per_seed_path():
     )
     models = (SlowDevice(factor=1.5),)
 
-    def wall(engine):
+    def wall(ensemble):
         best = None
         report = None
         for _ in range(ROUNDS):
             t0 = time.perf_counter()
-            report = run_ensemble(
+            report = ensemble(
                 prof, cluster, plan, models, range(NUM_SEEDS),
-                enforce_memory=False, sim_engine=engine,
+                enforce_memory=False,
             )
             dt = time.perf_counter() - t0
             best = dt if best is None else min(best, dt)
         return best, report
 
-    batched_wall, batched_rep = wall("batched")
-    per_seed_wall, per_seed_rep = wall("compiled")
+    batched_wall, batched_rep = wall(run_ensemble)
+    per_seed_wall, per_seed_rep = wall(per_seed_ensemble)
 
     assert batched_rep.identical(per_seed_rep)
     assert batched_wall <= per_seed_wall, (

@@ -1,7 +1,7 @@
-"""Bit-identity suite for the batched multi-scenario engine.
+"""Bit-identity suite for batched multi-scenario runs.
 
-The batched engine (:mod:`repro.sim.batched`) simulates S duration rows
-over one compiled graph — sharing structure, dedup'ing identical rows, and
+:func:`repro.sim.batched.run_batched` simulates S duration rows over one
+compiled graph — sharing structure, dedup'ing identical rows, and
 replaying from baseline snapshots when a scenario only perturbs late ops.
 Every path must be **bit-identical** to the per-seed compiled engine run on
 a graph rebuilt with that row's durations, which is itself bit-identical to
@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.check import per_seed_ensemble
 from repro.cluster import config_b
 from repro.core import profile_model
 from repro.core.plan import ParallelPlan, Stage
@@ -32,7 +33,7 @@ from repro.faults import (
 )
 from repro.models import uniform_model
 from repro.runtime.executor import PipelineExecutor
-from repro.sim import Op, Simulator, TaskGraph, run_batched, run_batched_graph
+from repro.sim import Op, Simulator, TaskGraph, run_batched
 from repro.sim.compiled import compile_graph
 from repro.sim.engine import ENGINES, MemEffect
 from tests.sim.test_compiled_equivalence import assert_identical, random_graph
@@ -78,11 +79,17 @@ def perturbation_matrix(seed, base, num_rows):
     return np.vstack(rows) if rows[0].size else np.empty((len(rows), 0))
 
 
+def one_row(graph):
+    """``graph`` simulated as a one-row ``run_batched`` call."""
+    cg = compile_graph(graph)
+    return run_batched(cg, cg.durations[None, :]).result(0)
+
+
 class TestSingleScenario:
-    """engine="batched" with one row == compiled == reference."""
+    """A one-row batch == compiled == reference."""
 
     def test_registered_engine(self):
-        assert "batched" in ENGINES
+        assert ENGINES == ("compiled", "reference")
 
     @given(
         seed=st.integers(min_value=0, max_value=100_000),
@@ -94,24 +101,12 @@ class TestSingleScenario:
         compiled = Simulator(
             random_graph(seed, n, num_resources), engine="compiled"
         ).run()
-        batched = Simulator(
-            random_graph(seed, n, num_resources), engine="batched"
-        ).run()
-        assert_identical(compiled, batched)
+        assert_identical(compiled, one_row(random_graph(seed, n, num_resources)))
 
     @pytest.mark.parametrize("seed", range(3))
     def test_large_random_dags(self, seed):
-        compiled = Simulator(random_graph(seed, 600, 4), engine="compiled").run()
-        batched = Simulator(random_graph(seed, 600, 4), engine="batched").run()
-        assert_identical(compiled, batched)
-
-    def test_env_var_selects_batched(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_ENGINE", "batched")
-        sim = Simulator(random_graph(0, 20, 2))
-        assert sim.engine == "batched"
-        assert sim.run().makespan == Simulator(
-            random_graph(0, 20, 2), engine="compiled"
-        ).run().makespan
+        reference = Simulator(random_graph(seed, 600, 4), engine="reference").run()
+        assert_identical(reference, one_row(random_graph(seed, 600, 4)))
 
     def test_unknown_engine_rejected(self):
         with pytest.raises(ValueError, match="unknown sim engine"):
@@ -149,9 +144,10 @@ class TestMultiScenario:
         # Reused scenarios share the underlying columns, not copies.
         assert batch.result(0).trace._cols()[1] is batch.result(2).trace._cols()[1]
 
-    def test_run_batched_graph_defaults_to_own_durations(self):
+    def test_own_durations_row_matches_compiled(self):
         g = random_graph(3, 50, 3)
-        batch = run_batched_graph(random_graph(3, 50, 3))
+        cg = compile_graph(random_graph(3, 50, 3))
+        batch = run_batched(cg, cg.durations[None, :])
         assert batch.durations.shape == (1, len(g.ops()))
         assert batch.makespan(0) == Simulator(g, engine="compiled").run().makespan
 
@@ -243,6 +239,14 @@ class TestValidation:
         with pytest.raises(ValueError, match="is negative"):
             run_batched(cg, row[None, :])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_duration_rejected(self, bad):
+        cg = compile_graph(random_graph(0, 10, 2))
+        rows = np.vstack([cg.durations, cg.durations])
+        rows[1, 4] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            run_batched(cg, rows)
+
     def test_one_dimensional_matrix_rejected(self):
         cg = compile_graph(random_graph(0, 10, 2))
         with pytest.raises(ValueError, match="matrix"):
@@ -304,10 +308,6 @@ class TestFaultMatrixEquivalence:
         models = (ComputeJitter(sigma=0.1), SlowDevice(factor=2.0))
         # Duplicate seeds exercise the dedup path inside the batch.
         seeds = [0, 1, 2, 1, 0]
-        batched = run_ensemble(
-            prof, cluster, plan, models, seeds, sim_engine="batched"
-        )
-        per_seed = run_ensemble(
-            prof, cluster, plan, models, seeds, sim_engine="compiled"
-        )
+        batched = run_ensemble(prof, cluster, plan, models, seeds)
+        per_seed = per_seed_ensemble(prof, cluster, plan, models, seeds)
         assert batched.identical(per_seed)

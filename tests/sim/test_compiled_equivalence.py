@@ -305,16 +305,6 @@ class TestEngineSelection:
         with pytest.raises(ValueError, match="unknown sim engine"):
             Simulator(TaskGraph(), engine="turbo")
 
-    def test_env_var_selects_oracle(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_ENGINE", "reference")
-        assert Simulator(TaskGraph()).engine == "reference"
-        monkeypatch.delenv("REPRO_SIM_ENGINE")
-        assert Simulator(TaskGraph()).engine == "compiled"
-
-    def test_explicit_engine_overrides_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_ENGINE", "reference")
-        assert Simulator(TaskGraph(), engine="compiled").engine == "compiled"
-
 
 class TestColumnarTraceApi:
     def _result(self):

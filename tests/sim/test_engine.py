@@ -34,6 +34,16 @@ class TestTaskGraph:
         with pytest.raises(ValueError):
             Op("bad", -1.0)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_duration_rejected(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            Op("bad", bad)
+
+    def test_duplicate_resource_rejected(self):
+        with pytest.raises(ValueError, match="more than once"):
+            Op("a", 1.0, ("gpu:0", "gpu:0"))
+        assert Op("b", 1.0, ("gpu:0", "gpu:1")).resources == ("gpu:0", "gpu:1")
+
     def test_cycle_detected(self):
         # Validation is lazy: the cycle surfaces when the graph is run.
         g = build([Op("a", 1.0), Op("b", 1.0)], [("a", "b"), ("b", "a")])

@@ -222,6 +222,16 @@ class TestFaults:
         ]) == 1
         assert "no perturbation" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--straggler", "--jitter",
+                                      "--link-factor", "--fail-stall"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_faults_non_finite_flag_rejected(self, flag, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["faults", "--model", "vgg19", "--config", "B",
+                  "--devices", "4", flag, value])
+        assert exc.value.code == 2
+        assert "finite" in capsys.readouterr().err
+
 
 class TestServeCLI:
     """`repro submit` / `repro cache` against an in-process service."""
