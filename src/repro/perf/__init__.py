@@ -5,7 +5,6 @@ package covers the layer above it — fanning independent experiment grid
 points across worker processes with deterministic result ordering.
 """
 
-from repro.perf.record import load_bench_json, write_bench_json
 from repro.perf.sweep import ForkPool, default_jobs, sweep
 
-__all__ = ["ForkPool", "default_jobs", "load_bench_json", "sweep", "write_bench_json"]
+__all__ = ["ForkPool", "default_jobs", "sweep"]

@@ -8,9 +8,9 @@ such a grid across a ``ProcessPoolExecutor`` with two guarantees:
 * **Deterministic ordering.**  Results are collected in *submission* order,
   never completion order, so a parallel run produces byte-identical report
   output to the serial path (enforced by ``tests/perf/test_sweep.py``).
-* **Graceful fallback.**  ``jobs <= 1``, single-point grids, and platforms
-  where forking workers fails (sandboxed CI) all run serially in-process —
-  same results, no crash.
+* **Graceful fallback.**  ``jobs <= 1``, single-point grids, platforms
+  where forking workers fails (sandboxed CI), and a worker dying mid-sweep
+  (e.g. OOM-killed) all run serially in-process — same results, no crash.
 
 Workers must be *module-level* functions called with picklable positional
 arguments (strings, ints), because each point re-derives profiles and
@@ -138,12 +138,15 @@ class ForkPool:
         """Apply ``fn`` to every task, returning results in task order."""
         if self._inline:
             return _run_serial(fn, tasks)
+        from concurrent.futures.process import BrokenProcessPool
+
         try:
             pool = self._ensure()
             futures = [pool.submit(fn, *t) for t in tasks]
             return [f.result() for f in futures]
-        except (OSError, PermissionError):
-            # Process spawn blocked (sandbox, fd limits): fall back to serial.
+        except (OSError, PermissionError, BrokenProcessPool):
+            # Process spawn blocked (sandbox, fd limits) or a worker died
+            # (e.g. OOM-killed): rerun the whole batch serially.
             self._degrade()
             return _run_serial(fn, tasks)
 

@@ -2,7 +2,7 @@
 oracle it replaces.
 
 The full 32-seed BERT-48 measurement (with the 3x-single-run target)
-lives in ``benchmarks/perf_ensemble.py`` and runs nightly; wall-clock
+lives in ``tests/perf/test_gates.py`` and runs nightly; wall-clock
 ratios at that scale are too slow for tier-1.  Here a small-but-real
 ensemble — enough seeds that the batched engine's one-time graph build
 and compile amortize — must beat the per-seed loop outright, best-of-3

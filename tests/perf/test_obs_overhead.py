@@ -10,8 +10,8 @@ assertion, so the budget is enforced structurally instead:
   simulated iteration executes, must stay under 2% of that iteration's
   measured wall time.
 
-The full enabled-vs-disabled A/B measurement lives in
-``benchmarks/perf_obs.py`` (not tier-1).
+The wall-clock enabled-vs-disabled A/Bs are slow tests: the simulator
+one below and the serve-path gate in ``tests/perf/test_gates.py``.
 """
 
 import time
@@ -147,8 +147,8 @@ def test_enabled_overhead_under_twenty_percent_of_sim_benchmark():
     sides) and it runs in the nightly slow pass — wall-clock A/Bs at this
     resolution are too sensitive to suite-wide allocator state for tier-1,
     where ``test_enabled_gauges_are_collect_time_providers`` enforces the
-    same budget structurally.  ``benchmarks/perf_obs.py`` is the full
-    measurement."""
+    same budget structurally.  The serve-path A/B gate lives in
+    ``tests/perf/test_gates.py``."""
     prof = profile_model(get_model("bert48"))
     cluster = config_a(16)
     d = cluster.devices
@@ -173,18 +173,19 @@ def test_enabled_overhead_under_twenty_percent_of_sim_benchmark():
         obs.disable()
         obs.reset()
         assert res.makespan > 0
-        return elapsed
+        return elapsed, res.makespan
 
     disabled = enabled = None
     try:
         for _ in range(3):
-            dt = run_once(False)
+            dt, makespan_off = run_once(False)
             disabled = dt if disabled is None else min(disabled, dt)
-            dt = run_once(True)
+            dt, makespan_on = run_once(True)
             enabled = dt if enabled is None else min(enabled, dt)
     finally:
         obs.disable()
         obs.reset()
+    assert makespan_on == makespan_off, "instrumentation changed the result"
     cap = disabled * (1 + MAX_ENABLED_OVERHEAD_FRACTION)
     assert enabled <= cap, (
         f"obs-enabled simulation took {enabled * 1e3:.1f}ms vs "

@@ -1,6 +1,6 @@
 """Tier-1 wall-clock smoke cap for the vectorized planner search.
 
-The full before/after benchmark lives in ``benchmarks/test_perf_primitives``;
+The full before/after gate lives in ``tests/perf/test_gates.py``;
 this test only guards against a silent order-of-magnitude regression (e.g.
 the scalar path becoming the default again, or the scanner caches breaking).
 The cap is ~10× the observed fast-path time on a developer laptop, so it
@@ -19,7 +19,7 @@ from repro.models import vgg19
 #: Observed fast-path time ≈ 0.2 s; scalar path ≈ 1.5 s.  10× margin.
 WALLCLOCK_CAP_S = 2.0
 
-#: Observed warm in-memory hit ≈ 0.5 ms; the benchmark gates ≤ 5 ms.
+#: Observed warm in-memory hit ≈ 0.5 ms; the slow gate holds ≤ 5 ms.
 #: 100× margin here so slow CI never flakes while a hit that silently
 #: re-runs the search (hundreds of ms) still fails loudly.
 CACHE_HIT_CAP_S = 0.05

@@ -1,6 +1,6 @@
 """Tier-1 wall-clock smoke cap for the compiled simulator event loop.
 
-The full before/after benchmark lives in ``benchmarks/test_perf_primitives``;
+The full before/after gate lives in ``tests/perf/test_gates.py``;
 this test only guards against a silent order-of-magnitude regression (e.g.
 the compiled engine quietly falling back to the reference loop, or the
 indexed-graph columns being rebuilt per run).  The cap is ~15× the observed

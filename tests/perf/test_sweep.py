@@ -19,6 +19,16 @@ def _pid(_x):
     return os.getpid()
 
 
+_PARENT_PID = os.getpid()
+
+
+def _square_or_die_in_worker(x):
+    # Fork workers inherit _PARENT_PID, so only a pool worker takes the exit.
+    if os.getpid() != _PARENT_PID:
+        os._exit(1)
+    return x * x
+
+
 def _boom(x):
     raise RuntimeError(f"boom {x}")
 
@@ -111,6 +121,20 @@ class TestForkPool:
             t.join()
         assert results == {i: i * i for i in range(8)}
         pool.shutdown()
+
+    def test_map_ordered_degrades_inline_when_a_worker_dies(self):
+        """A killed worker (e.g. by the OOM killer) breaks the pool; the
+        batch is rerun serially and later calls stay inline."""
+        tasks = [(i,) for i in range(4)]
+        expected = [i * i for i in range(4)]
+        pool = ForkPool(2)
+        try:
+            assert pool.map_ordered(_square_or_die_in_worker, tasks) == expected
+            assert pool.mode == "inline"
+            assert pool.map_ordered(_square_or_die_in_worker, tasks) == expected
+        finally:
+            pool.shutdown()
+        assert sweep(_square_or_die_in_worker, tasks, jobs=2) == expected
 
     def test_shutdown_idempotent(self):
         pool = ForkPool(1, inline=True)

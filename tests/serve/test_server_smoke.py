@@ -15,8 +15,8 @@ from repro.core.serialization import graph_to_dict, plan_to_dict
 from repro.models import uniform_model
 from repro.serve import PlanClient, PlanServer, ServiceError
 
-#: Generous tier-1 cap for a warm cache-hit round trip; the benchmark
-#: (benchmarks/perf_serve.py) gates the real < 50 ms p95 target.
+#: Generous tier-1 cap for a warm cache-hit round trip; the slow
+#: gate (tests/perf/test_gates.py) holds the real <= 50 ms p95 target.
 WARM_HIT_CAP_S = 2.0
 
 
