@@ -40,7 +40,7 @@ from repro.check.oracles import (
     run_oracles,
 )
 from repro.check.generators import GeneratedCase, generate_cases, random_case
-from repro.check.reference import per_seed_ensemble, run_reference
+from repro.check.reference import evaluate_seed, per_seed_ensemble, run_reference
 
 __all__ = [
     "ConformanceError",
@@ -60,6 +60,7 @@ __all__ = [
     "run_oracles",
     "ScalarPlanner",
     "planner_diffs",
+    "evaluate_seed",
     "per_seed_ensemble",
     "run_reference",
     "GeneratedCase",

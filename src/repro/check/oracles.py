@@ -58,8 +58,12 @@ def oracle_engines(graph, subject: str = "engines") -> ConformanceReport:
 
     The reference loop (:func:`repro.check.reference.run_reference`) must
     reproduce the compiled engine's makespan, trace rows, and memory
-    peaks/finals exactly.
+    peaks/finals exactly, and :func:`~repro.faults.analysis.critical_path`
+    on the compiled trace must match the event walk on the reference trace
+    (op names, ends and stage signature).
     """
+    from repro.check.reference import event_critical_path
+    from repro.faults.analysis import critical_path, critical_path_stages
     from repro.sim.engine import Simulator
 
     report = ConformanceReport(subject=subject)
@@ -94,6 +98,19 @@ def oracle_engines(graph, subject: str = "engines") -> ConformanceReport:
             "oracle-engines",
             "memory peaks/finals diverge between compiled and reference",
             resource=dev,
+        ))
+    path_c = critical_path(graph, compiled.trace)
+    path_o = event_critical_path(graph, other.trace)
+    ends_c = [(e.name, e.end) for e in path_c]
+    ends_o = [(e.name, e.end) for e in path_o]
+    if ends_c != ends_o or (
+        critical_path_stages(path_c) != critical_path_stages(path_o)
+    ):
+        report.add(Violation(
+            "oracle-engines",
+            f"critical path diverges from the reference event walk "
+            f"({len(path_c)} vs {len(path_o)} ops)",
+            op=next((c[0] for c, o in zip(ends_c, ends_o) if c != o), None),
         ))
     return report
 

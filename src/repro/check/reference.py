@@ -9,7 +9,11 @@ production path, kept only to prove bit-identity with it:
   reproduces its makespans, traces, and memory timelines exactly;
 * :func:`per_seed_ensemble` — one independent :func:`evaluate_seed`
   simulation per seed, the oracle for the single batched pass of
-  :func:`repro.faults.analysis.run_ensemble`.
+  :func:`repro.faults.analysis.run_ensemble`;
+* :func:`event_critical_path` and :func:`event_bubble_fractions` — the
+  oracles for the columnar :func:`repro.faults.analysis.critical_path` and
+  :func:`repro.faults.analysis.stage_bubble_fractions`, which derive
+  resource order and busy sums from ``trace.events`` alone.
 """
 
 from __future__ import annotations
@@ -21,10 +25,14 @@ from typing import Hashable, Iterable, Sequence
 
 import numpy as np
 
+import repro.obs as obs
 from repro.sim.engine import SimulationResult
 from repro.sim.trace import MemoryTimeline, Trace, TraceEvent, PHASE_END, PHASE_START
 
-__all__ = ["ResourcePool", "run_reference", "per_seed_ensemble"]
+__all__ = [
+    "ResourcePool", "run_reference", "event_critical_path",
+    "event_bubble_fractions", "evaluate_seed", "per_seed_ensemble",
+]
 
 
 @dataclass
@@ -162,6 +170,116 @@ def run_reference(graph) -> SimulationResult:
     return SimulationResult(makespan=trace.makespan(), trace=trace, memory=memory)
 
 
+def event_critical_path(graph, trace) -> list:
+    """:func:`repro.faults.analysis.critical_path` as an event-name walk.
+
+    Walks backward from the last-finishing event.  At each step the binding
+    constraint is the dependency predecessor or previous resource holder
+    that ends latest (strict ``>``, dependency predecessors first), exactly
+    the tie-breaks of the production walk.
+    """
+    events = list(trace.events)
+    if not events:
+        return []
+    preds: dict[str, list[str]] = {}
+    for name in graph._order:
+        for succ in graph._succ[name]:
+            preds.setdefault(succ, []).append(name)
+    ev_by_name = {e.name: e for e in events}
+    # Called unbound, so a columnar trace's own index is bypassed.
+    by_resource = Trace._build_res_idx(trace)
+    res_pos: dict = {}
+
+    cur = events[0]
+    for e in events:
+        if e.end >= cur.end:
+            cur = e
+    path = [cur]
+    while cur.start > 0:
+        best = None
+        for p in preds.get(cur.name, ()):
+            pe = ev_by_name[p]
+            if best is None or pe.end > best.end:
+                best = pe
+        for r in cur.resources:
+            pos = res_pos.get(r)
+            if pos is None:
+                lst = by_resource[r]
+                pos = res_pos[r] = ({e.name: k for k, e in enumerate(lst)}, lst)
+            idx_of, lst = pos
+            k = idx_of[cur.name]
+            if k > 0:
+                prev = lst[k - 1]
+                if best is None or prev.end > best.end:
+                    best = prev
+        if best is None:
+            break
+        path.append(best)
+        cur = best
+    path.reverse()
+    return path
+
+
+def event_bubble_fractions(result) -> dict[int, float]:
+    """:func:`repro.faults.analysis.stage_bubble_fractions` from busy sums
+    over ``result.trace.events``."""
+    makespan = result.iteration_time
+    out: dict[int, float] = {}
+    if makespan <= 0:
+        return {i: 0.0 for i in range(result.plan.num_stages)}
+    by_resource = Trace._build_res_idx(result.trace)
+    for i, stage in enumerate(result.plan.stages):
+        busy = [
+            sum(e.duration for e in by_resource.get(d.resource_key, ()))
+            for d in stage.devices
+        ]
+        out[i] = 1.0 - (sum(busy) / len(busy)) / makespan
+    return out
+
+
+def evaluate_seed(
+    profile,
+    cluster,
+    plan,
+    models,
+    seed: int,
+    schedule="dapple",
+    warmup_policy: str = "PA",
+    recompute=False,
+    enforce_memory: bool = True,
+    sim_engine: str = "compiled",
+):
+    """Simulate ``plan`` under ``models`` at ``seed`` and summarize it as a
+    :class:`~repro.faults.analysis.SeedOutcome`, analyzing the trace event
+    by event."""
+    from repro.faults.analysis import SeedOutcome, critical_path_stages
+    from repro.faults.inject import execute_plan_faulted
+
+    models = tuple(models)
+    with obs.span("faults.seed", seed=seed, models=len(models)) as sp:
+        run = execute_plan_faulted(
+            profile,
+            cluster,
+            plan,
+            models=models,
+            seed=seed,
+            schedule=schedule,
+            warmup_policy=warmup_policy,
+            recompute=recompute,
+            enforce_memory=enforce_memory,
+            sim_engine=sim_engine,
+        )
+        sp.set(makespan=run.result.iteration_time)
+    bubbles = event_bubble_fractions(run.result)
+    sig = critical_path_stages(event_critical_path(run.graph, run.result.trace))
+    return SeedOutcome(
+        seed=seed,
+        makespan=run.result.iteration_time,
+        stage_bubbles=tuple(bubbles[i] for i in range(plan.num_stages)),
+        critical_stages=sig,
+    )
+
+
 def per_seed_ensemble(
     profile,
     cluster,
@@ -182,7 +300,7 @@ def per_seed_ensemble(
     the batched single pass must match it under
     :meth:`~repro.faults.analysis.EnsembleReport.identical`.
     """
-    from repro.faults.analysis import EnsembleReport, evaluate_seed
+    from repro.faults.analysis import EnsembleReport
 
     seeds = [int(s) for s in seeds]
     if not seeds:

@@ -502,11 +502,15 @@ def cmd_check(args) -> int:
     against the DAPPLE semantics in :mod:`repro.check.invariants`, then runs
     the differential oracles (engine equivalence, fast-scan vs scalar
     planner, explain decomposition, clean fault path, memory
-    M-independence).  Any violation prints the offending op/stage/invariant
+    M-independence).  ``--schedule`` runs only the engine oracle, on the
+    schedule arm's graph.  Any violation prints the offending op/stage/invariant
     and exits 2; memory-infeasible combinations are skipped, not failed.
     """
-    from repro.check import generate_cases, run_oracles, verify_execution
+    from repro.check import (
+        generate_cases, oracle_engines, run_oracles, verify_execution,
+    )
     from repro.experiments.reporting import format_table
+    from repro.runtime.executor import PipelineExecutor
     from repro.sim.engine import ENGINES
 
     engines = list(ENGINES) if args.engine is None else [args.engine]
@@ -558,17 +562,28 @@ def cmd_check(args) -> int:
                     except OutOfMemoryError:
                         rep = None
                     record(name, arm, engine, rep)
-            if args.schedule:
+            if args.no_oracles:
                 continue
-            if not args.no_oracles:
-                try:
-                    plan = _check_arms(prof, cluster, gbs)[0][1]
-                    rep = run_oracles(
-                        prof, cluster, plan, gbs=gbs, subject=f"{name} oracles"
-                    )
-                except OutOfMemoryError:
-                    rep = None
-                record(name, "oracles", "all", rep)
+            if args.schedule:
+                # The engine oracle, on the schedule arm's own graph.
+                for arm, plan, sched in arms:
+                    try:
+                        graph = PipelineExecutor(
+                            prof, cluster, plan, schedule=sched
+                        ).build_graph()
+                        rep = oracle_engines(graph, subject=f"{name} {arm}")
+                    except OutOfMemoryError:
+                        rep = None
+                    record(name, "oracles", "engines", rep)
+                continue
+            try:
+                plan = _check_arms(prof, cluster, gbs)[0][1]
+                rep = run_oracles(
+                    prof, cluster, plan, gbs=gbs, subject=f"{name} oracles"
+                )
+            except OutOfMemoryError:
+                rep = None
+            record(name, "oracles", "all", rep)
         for case in generate_cases(args.generated, base_seed=args.seed):
             subject = f"gen seed={case.seed}"
             try:

@@ -23,7 +23,6 @@ from repro.faults.analysis import (
     SeedOutcome,
     critical_path,
     critical_path_stages,
-    evaluate_seed,
     run_ensemble,
     run_ensembles,
     stage_bubble_fractions,
@@ -55,7 +54,6 @@ __all__ = [
     "rebuild_with_durations",
     "execute_plan_faulted",
     "FaultedExecution",
-    "evaluate_seed",
     "run_ensemble",
     "run_ensembles",
     "EnsembleReport",

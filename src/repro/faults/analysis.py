@@ -16,10 +16,11 @@ Answers three questions about a plan under a perturbation model set:
 the model set into an ``(S, ops)`` duration matrix
 (:func:`repro.faults.models.perturb_durations`), and hands the whole
 ensemble — clean row included — to the simulator's event loop
-(:func:`repro.sim.batched.run_batched`) in a single pass.  Outcomes are
-summarized from vectorized scenario views, bit-identical to one independent
-simulation per seed (:func:`evaluate_seed`; the oracle
-:func:`repro.check.reference.per_seed_ensemble` runs that loop).
+(:func:`repro.sim.batched.run_batched`) in a single pass.  A clean run and
+every scenario are analyzed by the same functions over the same
+:class:`~repro.sim.compiled.ColumnarTrace` columns, bit-identical to one
+simulation per seed analyzed event by event (the oracle
+:func:`repro.check.reference.per_seed_ensemble`).
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from typing import Sequence
 import numpy as np
 
 import repro.obs as obs
-from repro.faults.inject import FaultedExecution, execute_plan_faulted
 from repro.faults.models import perturb_durations
 from repro.sim.batched import run_batched
 from repro.sim.compiled import compile_graph
@@ -40,7 +40,6 @@ __all__ = [
     "SeedOutcome",
     "EnsembleReport",
     "BubbleRow",
-    "evaluate_seed",
     "run_ensemble",
     "run_ensembles",
     "critical_path",
@@ -50,7 +49,7 @@ __all__ = [
 
 
 # --------------------------------------------------------------------- #
-# Critical-path extraction
+# Critical path and stage bubbles
 # --------------------------------------------------------------------- #
 def critical_path(graph, trace) -> list:
     """The chain of trace events that gates the makespan, in time order.
@@ -62,50 +61,37 @@ def critical_path(graph, trace) -> list:
     instants, so except at time zero such an event always exists).  Ties are
     broken toward the latest-ending candidate, then dependency predecessors
     over resource predecessors, so the walk is deterministic.
-    """
-    events = list(trace.events)
-    if not events:
-        return []
-    preds: dict[str, list[str]] = {}
-    for name in graph._order:
-        for succ in graph._succ[name]:
-            preds.setdefault(succ, []).append(name)
-    ev_by_name = {e.name: e for e in events}
-    res_pos: dict = {}
 
-    cur = events[0]
-    for e in events:
-        if e.end >= cur.end:
-            cur = e
+    ``trace`` is the :class:`~repro.sim.compiled.ColumnarTrace` of a run of
+    ``graph``: the walk runs over its op-id columns, anchored at the last
+    completion, and materializes only the path's events.
+    """
+    cg = trace.compiled
+    if not cg.num_ops:
+        return []
+    start = trace.start_by_op
+    cur = trace.order[-1]
     path = [cur]
-    while cur.start > 0:
-        best = None
-        for p in preds.get(cur.name, ()):
-            pe = ev_by_name[p]
-            if best is None or pe.end > best.end:
-                best = pe
-        for r in cur.resources:
-            pos = res_pos.get(r)
-            if pos is None:
-                lst = trace.by_resource(r)
-                pos = res_pos[r] = ({e.name: k for k, e in enumerate(lst)}, lst)
-            idx_of, lst = pos
-            k = idx_of[cur.name]
+    while start[cur] > 0:
+        # Dependency predecessors, then previous resource holders; max()
+        # keeps the first of equally late candidates.
+        cands = list(cg.pred_lists[cur])
+        for r in cg.ops[cur].resources:
+            slot = cg.slot_of[r]
+            k = trace.resource_index(slot)[cur]
             if k > 0:
-                prev = lst[k - 1]
-                if best is None or prev.end > best.end:
-                    best = prev
-        if best is None:
+                cands.append(int(trace.resource_sequence(slot)[k - 1]))
+        if not cands:
             break
-        path.append(best)
-        cur = best
-    path.reverse()
-    return path
+        cur = max(cands, key=trace.end_by_op.__getitem__)
+        path.append(cur)
+    return [trace.event(i) for i in reversed(path)]
 
 
 def critical_path_stages(path) -> tuple:
     """Collapse a critical path to its stage signature.
 
+    ``path`` holds trace events or ops — anything with ``tags``.
     Consecutive ops of the same stage merge into one entry; ops without a
     ``stage`` tag (init barriers) are dropped.  Two runs whose makespan is
     gated by different stages produce different signatures — the shift
@@ -123,83 +109,23 @@ def critical_path_stages(path) -> tuple:
 
 def stage_bubble_fractions(result) -> dict[int, float]:
     """Per-stage idle fraction: 1 − mean device busy time / makespan."""
-    makespan = result.iteration_time
-    out: dict[int, float] = {}
-    if makespan <= 0:
-        return {i: 0.0 for i in range(result.plan.num_stages)}
-    for i, stage in enumerate(result.plan.stages):
-        busy = [result.trace.busy_time(d.resource_key) for d in stage.devices]
-        out[i] = 1.0 - (sum(busy) / len(busy)) / makespan
-    return out
+    return dict(enumerate(_bubble_fractions(result.trace, result.plan)))
 
 
-# --------------------------------------------------------------------- #
-# Batched-scenario summarization (vectorized views, no trace events)
-# --------------------------------------------------------------------- #
-def _critical_ids(view, cg, ops) -> list:
-    """:func:`critical_path`'s backward walk over one batched scenario.
-
-    Operates on the scenario view's per-op start/end arrays and resource
-    sequences instead of trace events, visiting candidates in exactly the
-    same order with the same strict-``>`` tie-breaks, so the returned op-id
-    chain matches the event chain :func:`critical_path` extracts from the
-    equivalent per-seed trace.  (The completion column is end-sorted, so its
-    last entry is the latest max-end event — the walk's anchor.)
-    """
-    if not len(view.order):
-        return []
-    end = view.end_by_op
-    start = view.start_by_op
-    cur = int(view.order[-1])
-    path = [cur]
-    while start[cur] > 0:
-        best = -1
-        best_end = 0.0
-        for p in cg.pred_lists[cur]:
-            if best < 0 or end[p] > best_end:
-                best = p
-                best_end = float(end[p])
-        for r in ops[cur].resources:
-            idx_of = view.resource_index(cg.slot_of[r])
-            k = idx_of[cur]
-            if k > 0:
-                prev = int(view.resource_sequence(cg.slot_of[r])[k - 1])
-                if best < 0 or end[prev] > best_end:
-                    best = prev
-                    best_end = float(end[prev])
-        if best < 0:
-            break
-        path.append(best)
-        cur = best
-    path.reverse()
-    return path
-
-
-def _stage_signature(ops, ids) -> tuple:
-    """:func:`critical_path_stages` over op ids instead of trace events."""
-    sig: list = []
-    for i in ids:
-        stage = ops[i].tags.get("stage")
-        if stage is None:
-            continue
-        if not sig or sig[-1] != stage:
-            sig.append(stage)
-    return tuple(sig)
-
-
-def _stage_bubbles(view, plan, makespan: float) -> tuple:
-    """:func:`stage_bubble_fractions` from a scenario view's busy totals."""
+def _bubble_fractions(trace, plan) -> tuple:
+    """:func:`stage_bubble_fractions` as a tuple in stage order."""
+    makespan = trace.makespan()
     if makespan <= 0:
         return tuple(0.0 for _ in range(plan.num_stages))
     out = []
     for stage in plan.stages:
-        busy = [view.busy_time(d.resource_key) for d in stage.devices]
+        busy = [trace.busy_time(d.resource_key) for d in stage.devices]
         out.append(1.0 - (sum(busy) / len(busy)) / makespan)
     return tuple(out)
 
 
 # --------------------------------------------------------------------- #
-# Per-seed evaluation
+# Per-seed outcome
 # --------------------------------------------------------------------- #
 @dataclass(frozen=True)
 class SeedOutcome:
@@ -211,44 +137,6 @@ class SeedOutcome:
     stage_bubbles: tuple
     #: Stage signature of the makespan-gating op chain.
     critical_stages: tuple
-
-
-def evaluate_seed(
-    profile,
-    cluster,
-    plan,
-    models,
-    seed: int,
-    schedule="dapple",
-    warmup_policy: str = "PA",
-    recompute=False,
-    enforce_memory: bool = True,
-    sim_engine: str = "compiled",
-) -> SeedOutcome:
-    """Simulate ``plan`` under ``models`` at ``seed`` and summarize."""
-    models = tuple(models)
-    with obs.span("faults.seed", seed=seed, models=len(models)) as sp:
-        run: FaultedExecution = execute_plan_faulted(
-            profile,
-            cluster,
-            plan,
-            models=models,
-            seed=seed,
-            schedule=schedule,
-            warmup_policy=warmup_policy,
-            recompute=recompute,
-            enforce_memory=enforce_memory,
-            sim_engine=sim_engine,
-        )
-        sp.set(makespan=run.result.iteration_time)
-    bubbles = stage_bubble_fractions(run.result)
-    sig = critical_path_stages(critical_path(run.graph, run.result.trace))
-    return SeedOutcome(
-        seed=seed,
-        makespan=run.result.iteration_time,
-        stage_bubbles=tuple(bubbles[i] for i in range(plan.num_stages)),
-        critical_stages=sig,
-    )
 
 
 # --------------------------------------------------------------------- #
@@ -406,9 +294,9 @@ def run_ensemble(
     One batched pass: builds and compiles the plan's graph once, stacks the
     clean duration column (skipped when the caller supplied ``clean``) on
     top of the ``(S, ops)`` perturbation matrix, and summarizes each
-    scenario from its vectorized view.  Deduplicated scenarios (identical
-    duration rows) share one view, and the bubble/critical-path summary is
-    memoized per view so repeated seeds cost nothing beyond the dict hit.
+    scenario from its columnar trace.  Deduplicated scenarios (identical
+    duration rows) share one trace, and the bubble/critical-path summary is
+    memoized per trace so repeated seeds cost nothing beyond the dict hit.
 
     ``clean`` short-circuits the clean baseline: callers re-scoring the same
     plan under different model sets (straggler sweeps, robust selection)
@@ -437,7 +325,6 @@ def run_ensemble(
         )
         graph = executor.build_graph()
         cg = compile_graph(graph)
-        ops = graph.ops()
         matrix = perturb_durations(graph, models, seeds)
         if clean is None:
             rows = np.vstack([cg.durations[None, :], matrix])
@@ -449,13 +336,12 @@ def run_ensemble(
         memo: dict[int, tuple] = {}
 
         def outcome(s: int, seed: int) -> SeedOutcome:
-            view = batch.view(s)
-            got = memo.get(id(view))
+            trace = batch.view(s)
+            got = memo.get(id(trace))
             if got is None:
-                makespan = batch.makespan(s)
-                got = memo[id(view)] = (
-                    _stage_bubbles(view, plan, makespan),
-                    _stage_signature(ops, _critical_ids(view, cg, ops)),
+                got = memo[id(trace)] = (
+                    _bubble_fractions(trace, plan),
+                    critical_path_stages(critical_path(graph, trace)),
                 )
             return SeedOutcome(
                 seed=seed,

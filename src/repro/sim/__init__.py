@@ -2,18 +2,19 @@
 
 This package provides the execution engine underneath the DAPPLE runtime:
 a deterministic list-scheduling simulator over a static task graph
-(:mod:`repro.sim.engine`), the graph's compiled index form and columnar
-traces (:mod:`repro.sim.compiled`), the event loop itself, which runs one
-duration row or a whole fault ensemble in one pass
-(:mod:`repro.sim.batched`), and execution traces with per-device memory
-timelines (:mod:`repro.sim.trace`).
+(:mod:`repro.sim.engine`), the graph's compiled index form and the
+columnar trace every production run returns (:mod:`repro.sim.compiled`),
+the event loop itself, which runs one duration row or a whole fault
+ensemble in one pass (:mod:`repro.sim.batched`), and the reference
+engine's event-list trace with per-device memory timelines
+(:mod:`repro.sim.trace`).
 
 The simulator plays the role that the TensorFlow graph executor plays in the
 paper: it runs operations as soon as their data/control dependencies are
 satisfied and their resources (GPU streams, network links) are free.
 """
 
-from repro.sim.batched import BatchedSimulation, ScenarioView, run_batched
+from repro.sim.batched import BatchedSimulation, run_batched
 from repro.sim.chrome_trace import export_chrome_trace, trace_to_events
 from repro.sim.compiled import (
     ColumnarMemoryTimeline,
@@ -37,7 +38,6 @@ __all__ = [
     "compile_graph",
     "run_compiled",
     "BatchedSimulation",
-    "ScenarioView",
     "run_batched",
     "Trace",
     "TraceEvent",

@@ -88,7 +88,6 @@ from repro.sim.trace import PHASE_END, PHASE_START
 __all__ = [
     "run_batched",
     "BatchedSimulation",
-    "ScenarioView",
     "DEFAULT_SNAPSHOTS",
 ]
 
@@ -401,104 +400,14 @@ class _BatchRunner:
         return order_col, ends_col, mem_rows, snaps
 
 
-class ScenarioView:
-    """Vectorized read-only view of one scenario's schedule.
-
-    Exposes per-op start/end arrays and per-resource busy totals / op
-    sequences that are bit-identical to what :class:`~repro.sim.trace.Trace`
-    derives event-by-event (enforced by the batched-equivalence tests):
-
-    * starts are ``end - duration`` elementwise — the same float expression
-      the trace evaluates per event;
-    * per-resource busy totals accumulate event widths with ``np.add.at`` in
-      ``by_resource`` order ((start, end)-sorted, stable over completion
-      order), which applies additions sequentially and therefore reproduces
-      ``Trace.busy_time``'s left-to-right sum bit-for-bit (``reduceat``-style
-      pairwise reduction would not);
-    * :meth:`resource_sequence` is ``by_resource`` as op ids, backing the
-      critical-path walk in :mod:`repro.faults.analysis`.
-    """
-
-    def __init__(self, compiled: CompiledTaskGraph, order, ends, durations):
-        self.compiled = compiled
-        n = compiled.num_ops
-        order_arr = np.asarray(order, dtype=np.int64)
-        ends_arr = np.asarray(ends, dtype=np.float64)
-        dur = np.asarray(durations, dtype=np.float64)
-        end_by_op = np.empty(n, dtype=np.float64)
-        end_by_op[order_arr] = ends_arr
-        pos = np.empty(n, dtype=np.int64)
-        pos[order_arr] = np.arange(n, dtype=np.int64)
-        self.order = order_arr
-        self.end_by_op = end_by_op
-        self.start_by_op = end_by_op - dur
-        self.pos_by_op = pos
-        self._sorted: tuple | None = None
-        self._busy: np.ndarray | None = None
-        self._seq_cache: dict = {}
-        self._seq_pos: dict = {}
-
-    def _sorted_incidence(self) -> tuple:
-        """(op ids, resource slots) of every event×resource entry, sorted by
-        (resource, start, end, completion order) — by_resource order, all
-        resources concatenated."""
-        if self._sorted is None:
-            ops_e, res_e = self.compiled.res_incidence
-            idx = np.lexsort((
-                self.pos_by_op[ops_e],
-                self.end_by_op[ops_e],
-                self.start_by_op[ops_e],
-                res_e,
-            ))
-            self._sorted = (ops_e[idx], res_e[idx])
-        return self._sorted
-
-    def busy_by_slot(self) -> np.ndarray:
-        """Per-resource-slot total busy time (see class docstring)."""
-        if self._busy is None:
-            cg = self.compiled
-            busy = np.zeros(cg.num_resources, dtype=np.float64)
-            if cg.num_ops:
-                ops_s, res_s = self._sorted_incidence()
-                widths = self.end_by_op - self.start_by_op
-                np.add.at(busy, res_s, widths[ops_s])
-            self._busy = busy
-        return self._busy
-
-    def busy_time(self, key) -> float:
-        """``Trace.busy_time(key)``, bit-identical (0.0 for unknown keys)."""
-        slot = self.compiled.slot_of.get(key)
-        if slot is None:
-            return 0.0
-        return float(self.busy_by_slot()[slot])
-
-    def resource_sequence(self, slot: int) -> np.ndarray:
-        """Op ids that occupied resource ``slot``, in ``by_resource`` order."""
-        seq = self._seq_cache.get(slot)
-        if seq is None:
-            ops_s, res_s = self._sorted_incidence()
-            lo = np.searchsorted(res_s, slot, side="left")
-            hi = np.searchsorted(res_s, slot, side="right")
-            seq = ops_s[lo:hi]
-            self._seq_cache[slot] = seq
-        return seq
-
-    def resource_index(self, slot: int) -> dict:
-        """op id → position within :meth:`resource_sequence`."""
-        m = self._seq_pos.get(slot)
-        if m is None:
-            m = {int(o): k for k, o in enumerate(self.resource_sequence(slot))}
-            self._seq_pos[slot] = m
-        return m
-
-
 class BatchedSimulation:
     """Results of one :func:`run_batched` call over S scenarios.
 
     Holds the shared compiled graph, the duration matrix, and per-scenario
     columnar (order, ends, memory) buffers — deduplicated scenarios alias
-    the same buffers.  Full :class:`~repro.sim.engine.SimulationResult`
-    objects and :class:`ScenarioView` analysis views materialize lazily.
+    the same buffers.  Per-scenario :class:`~repro.sim.compiled.ColumnarTrace`
+    objects and the :class:`~repro.sim.engine.SimulationResult` wrapping
+    them materialize lazily.
     """
 
     def __init__(self, compiled, durations, orders, ends, mems, kinds):
@@ -514,7 +423,7 @@ class BatchedSimulation:
         self.makespans = np.array(
             [e[-1] if e else 0.0 for e in ends], dtype=np.float64
         )
-        self._views: dict[int, ScenarioView] = {}
+        self._views: dict[int, ColumnarTrace] = {}
 
     @property
     def num_scenarios(self) -> int:
@@ -527,7 +436,7 @@ class BatchedSimulation:
         return ends[-1] if ends else 0.0
 
     def result(self, s: int):
-        """Materialize scenario ``s`` as a full SimulationResult."""
+        """Scenario ``s`` as a full SimulationResult over :meth:`view`."""
         from repro.sim.engine import SimulationResult
 
         if self._mems is None:
@@ -535,26 +444,22 @@ class BatchedSimulation:
                 "run_batched(record_memory=False) keeps no memory timelines; "
                 "use view()/makespan() or re-run with record_memory=True"
             )
-        trace = ColumnarTrace(
-            self.compiled, self._orders[s], self._ends[s],
-            durations=self.durations[s],
-        )
+        trace = self.view(s)
         memory = ColumnarMemoryTimeline(self.compiled.device_keys, self._mems[s])
         return SimulationResult(
             makespan=trace.makespan(), trace=trace, memory=memory
         )
 
-    def view(self, s: int) -> ScenarioView:
-        """Analysis view of scenario ``s``; deduplicated scenarios share one
-        view (and therefore its lazily-computed derived arrays)."""
+    def view(self, s: int) -> ColumnarTrace:
+        """Scenario ``s``'s trace; deduplicated scenarios share one trace
+        (and therefore its lazily-computed derived arrays)."""
         key = id(self._ends[s])
         v = self._views.get(key)
         if v is None:
-            v = ScenarioView(
+            v = self._views[key] = ColumnarTrace(
                 self.compiled, self._orders[s], self._ends[s],
-                self.durations[s],
+                durations=self.durations[s],
             )
-            self._views[key] = v
         return v
 
 

@@ -11,10 +11,10 @@ The underlying columns are maintained incrementally by ``TaskGraph.add`` /
 :func:`run_compiled` executes the lowered graph on the simulator's event
 loop (:mod:`repro.sim.batched`) as a one-row run.
 
-Traces and memory deltas are recorded into columnar buffers;
-:class:`ColumnarTrace` / :class:`ColumnarMemoryTimeline` materialize the
-classic :class:`~repro.sim.trace.TraceEvent` objects and per-device delta
-lists lazily, on first access.
+Traces and memory deltas are recorded into columnar buffers.
+:class:`ColumnarTrace`, the trace of every production run and ensemble
+scenario, answers analysis queries from per-op numpy columns;
+:class:`ColumnarMemoryTimeline` thaws per-device delta lists lazily.
 """
 
 from __future__ import annotations
@@ -137,149 +137,131 @@ def compile_graph(graph) -> CompiledTaskGraph:
 
 
 class ColumnarTrace(Trace):
-    """A :class:`~repro.sim.trace.Trace` backed by columnar buffers.
+    """A read-only :class:`~repro.sim.trace.Trace` over columnar buffers.
 
     Event rows arrive as two parallel columns — op id and end time, in
-    completion order, one plain append each in the hot loop; the ``starts``
-    column is derived as ``end - duration`` (numpy, elementwise) — exactly
-    the expression the reference engine evaluates per event.
-    :class:`~repro.sim.trace.TraceEvent` objects are materialized lazily,
-    on first access of :attr:`events` or per row from :meth:`find`, which
-    answers from the compiled name index in O(1) instead of scanning.
-    :meth:`by_resource` reuses the base class's lazily-built per-resource
-    index.
+    completion order, one plain append each in the hot loop (``durations``
+    is the row a batched scenario simulated).  Queries answer from per-op
+    numpy columns derived on first use, bit-identical to what the
+    event-list trace derives event by event:
+
+    * ``start_by_op`` is ``end - duration`` elementwise — exactly the
+      expression the reference engine evaluates per event;
+    * :attr:`busy_by_slot` accumulates event widths with ``np.add.at`` in
+      ``by_resource`` order ((start, end)-sorted, stable over completion
+      order), which applies additions sequentially and therefore reproduces
+      ``Trace.busy_time``'s left-to-right sum (``reduceat``-style pairwise
+      reduction would not);
+    * :meth:`resource_sequence` is ``by_resource`` as op ids, backing the
+      critical-path walk in :mod:`repro.faults.analysis`.
     """
 
     def __init__(self, compiled: CompiledTaskGraph, order, ends,
                  durations=None) -> None:
-        # Deliberately does not call Trace.__init__: ``events`` is a lazy
-        # property here, not an eagerly-filled list.
-        self._compiled = compiled
-        self._order = order
-        self._ends_list = ends
-        # Per-scenario duration override (batched runs): the compiled
-        # graph's column describes the clean graph, not the row simulated.
-        self._durations = durations
-        self._events: list[TraceEvent] | None = None
+        # Deliberately does not call Trace.__init__: ``events`` is lazy here.
+        self.compiled = compiled
+        #: Op ids in completion order.
+        self.order = order
+        self._ends = ends
+        self._durations = compiled.durations if durations is None else durations
         self._event_cache: dict[int, TraceEvent] = {}
-        self._op_to_event: dict[int, int] | None = None
-        self._starts: list[float] | None = None
         # Completion times are emitted in non-decreasing order, so the
         # makespan is simply the last row's end.
         self._makespan = ends[-1] if ends else 0.0
-        self._name_idx = None
-        self._res_idx = None
-        self._mutated = False
+        self._seq_pos: dict = {}
 
     def _cols(self) -> tuple[list[int], list[float]]:
-        return self._order, self._ends_list
+        return self.order, self._ends
 
-    def _starts_col(self) -> list[float]:
-        if self._starts is None:
-            order, ends = self._cols()
-            dur = self._durations
-            if dur is None:
-                dur = self._compiled.durations
-            starts = np.asarray(ends, dtype=np.float64)
-            starts = starts - np.asarray(dur, dtype=np.float64)[
-                np.asarray(order, dtype=np.int64)
-            ]
-            self._starts = starts.tolist()
-        return self._starts
+    @cached_property
+    def end_by_op(self) -> np.ndarray:
+        end = np.empty(self.compiled.num_ops, dtype=np.float64)
+        end[self.order] = self._ends
+        return end
 
-    def _event(self, k: int) -> TraceEvent:
-        ev = self._event_cache.get(k)
+    @cached_property
+    def start_by_op(self) -> np.ndarray:
+        return self.end_by_op - np.asarray(self._durations, dtype=np.float64)
+
+    @cached_property
+    def _sorted_incidence(self) -> tuple:
+        """(op ids, resource slots) of every event×resource entry, sorted by
+        (resource, start, end, completion order) — by_resource order, all
+        resources concatenated."""
+        ops_e, res_e = self.compiled.res_incidence
+        pos = np.empty(self.compiled.num_ops, dtype=np.int64)
+        pos[self.order] = np.arange(len(self.order), dtype=np.int64)
+        idx = np.lexsort((
+            pos[ops_e], self.end_by_op[ops_e], self.start_by_op[ops_e], res_e,
+        ))
+        return ops_e[idx], res_e[idx]
+
+    @cached_property
+    def busy_by_slot(self) -> np.ndarray:
+        """Per-resource-slot total busy time (see class docstring)."""
+        busy = np.zeros(self.compiled.num_resources, dtype=np.float64)
+        ops_s, res_s = self._sorted_incidence
+        widths = self.end_by_op - self.start_by_op
+        np.add.at(busy, res_s, widths[ops_s])
+        return busy
+
+    def resource_sequence(self, slot: int) -> np.ndarray:
+        """Op ids that occupied resource ``slot``, in ``by_resource`` order."""
+        ops_s, res_s = self._sorted_incidence
+        lo, hi = np.searchsorted(res_s, (slot, slot + 1))
+        return ops_s[lo:hi]
+
+    def resource_index(self, slot: int) -> dict:
+        """op id → position within :meth:`resource_sequence`."""
+        m = self._seq_pos.get(slot)
+        if m is None:
+            seq = self.resource_sequence(slot).tolist()
+            m = self._seq_pos[slot] = {o: k for k, o in enumerate(seq)}
+        return m
+
+    def event(self, op_id: int) -> TraceEvent:
+        """The trace row of op ``op_id``, materialized once."""
+        ev = self._event_cache.get(op_id)
         if ev is None:
-            order, ends = self._cols()
-            op = self._compiled.ops[order[k]]
-            ev = TraceEvent(
-                name=op.name,
-                start=self._starts_col()[k],
-                end=ends[k],
-                resources=op.resources,
-                tags=op.tags,
+            op = self.compiled.ops[op_id]
+            ev = self._event_cache[op_id] = TraceEvent(
+                op.name, float(self.start_by_op[op_id]),
+                float(self.end_by_op[op_id]), op.resources, op.tags,
             )
-            self._event_cache[k] = ev
         return ev
 
-    @property
+    @cached_property
     def events(self) -> list[TraceEvent]:
-        if self._events is None:
-            self._events = [self._event(k) for k in range(len(self._order))]
-        return self._events
+        return [self.event(i) for i in self.order]
 
     def add(self, event: TraceEvent) -> None:
-        # Rare post-run mutation: materialize, then behave like a plain
-        # Trace (columnar fast paths disable themselves via ``_mutated``).
-        self.events
-        self._mutated = True
-        super().add(event)
+        raise TypeError("a ColumnarTrace is read-only")
 
     def iter_rows(self):
-        if self._mutated:
-            yield from super().iter_rows()
-            return
-        ops = self._compiled.ops
-        starts = self._starts_col()
-        order, ends = self._cols()
-        for k, end in enumerate(ends):
-            op = ops[order[k]]
-            yield op.name, starts[k], end, op.resources, op.tags
+        ops = self.compiled.ops
+        starts = self.start_by_op.tolist()
+        for i, end in zip(self.order, self._ends):
+            op = ops[i]
+            yield op.name, starts[i], end, op.resources, op.tags
 
     def find(self, name: str) -> TraceEvent:
-        if self._mutated:
-            return super().find(name)
-        op_id = self._compiled.id_of.get(name)
+        op_id = self.compiled.id_of.get(name)
         if op_id is None:
             raise KeyError(f"expected exactly one event named {name!r}, got 0")
-        if self._op_to_event is None:
-            order, _ = self._cols()
-            self._op_to_event = {i: k for k, i in enumerate(order)}
-        return self._event(self._op_to_event[op_id])
+        return self.event(op_id)
 
-    def busy_totals(self) -> dict | None:
-        """Per-resource busy time, vectorized; ``None`` once mutated.
+    def by_resource(self, key) -> list[TraceEvent]:
+        slot = self.compiled.slot_of.get(key)
+        if slot is None:
+            return []
+        return [self.event(int(i)) for i in self.resource_sequence(slot)]
 
-        Bit-identical to summing event widths in ``iter_rows`` order (the
-        accumulation :func:`repro.sim.engine._record_sim_metrics` performs):
-        ``np.add.at`` applies additions sequentially, and the incidence
-        entries are expanded op-major in completion order — the same
-        left-to-right sum per resource.
-        """
-        if self._mutated:
-            return None
-        cg = self._compiled
-        order, ends = self._cols()
-        if not order:
-            return {}
-        ops_e, res_e = cg.res_incidence
-        # Event index (completion position) of each incidence entry; numpy
-        # argsort(stable) over it reproduces the python loop's visit order.
-        order_a = np.asarray(order, dtype=np.int64)
-        pos = np.empty(cg.num_ops, dtype=np.int64)
-        pos[order_a] = np.arange(len(order), dtype=np.int64)
-        entry_pos = pos[ops_e]
-        sort_idx = np.argsort(entry_pos, kind="stable")
-        # Width of each event, ``end - start``.  ``start`` is defined as
-        # ``end - duration`` (see ``_starts_col``), so the width must be
-        # computed as the round-trip ``end - (end - duration)`` — NOT as
-        # ``duration`` directly — to stay bit-equal to the per-event
-        # subtraction the scalar accumulation performs.
-        dur = self._durations
-        if dur is None:
-            dur = cg.durations
-        ends_a = np.asarray(ends, dtype=np.float64)
-        widths = ends_a - (
-            ends_a - np.asarray(dur, dtype=np.float64)[order_a]
-        )
-        busy = np.zeros(cg.num_resources, dtype=np.float64)
-        np.add.at(busy, res_e[sort_idx], widths[entry_pos[sort_idx]])
-        keys = cg.resource_keys
-        # Resources actually touched: bincount+flatnonzero gives the same
-        # set as np.unique(res_e) (sorted ascending) at a fraction of the
-        # cost on this scale of incidence column.
-        seen = np.flatnonzero(np.bincount(res_e, minlength=cg.num_resources))
-        return {keys[int(r)]: float(busy[int(r)]) for r in seen}
+    def busy_time(self, key) -> float:
+        """``Trace.busy_time(key)``, bit-identical (0.0 for unknown keys)."""
+        slot = self.compiled.slot_of.get(key)
+        if slot is None:
+            return 0.0
+        return float(self.busy_by_slot[slot])
 
 
 class ColumnarMemoryTimeline(MemoryTimeline):

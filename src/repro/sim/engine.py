@@ -38,6 +38,7 @@ Select per run via ``Simulator(graph, engine=...)``.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import dataclass, field
@@ -295,7 +296,7 @@ class Simulator:
             ) as sp:
                 result = self._run()
                 sp.set(makespan=result.makespan)
-            _record_sim_metrics(result)
+            _record_sim_metrics(self._graph, result)
         if validate:
             from repro.check.invariants import check_simulation
 
@@ -313,67 +314,23 @@ class Simulator:
         return run_compiled(compile_graph(self._graph))
 
 
-def _record_sim_metrics(result: SimulationResult) -> None:
-    """Publish post-run metrics: event count, per-resource occupancy,
-    per-device memory peaks.  Called only while observability is enabled;
-    columnar traces answer through a vectorized busy-time pass
-    (:meth:`~repro.sim.compiled.ColumnarTrace.busy_totals`, bit-identical to
-    the row scan), and the python ``iter_rows`` fallback keeps plain traces
-    working — either way the event loop itself stays untouched."""
+def _record_sim_metrics(graph: TaskGraph, result: SimulationResult) -> None:
+    """Publish post-run metrics (observability enabled only): event count,
+    per-resource occupancy, per-device memory peaks.  Every op of ``graph``
+    ran once, so its interned resource and device keys name the gauges;
+    their values are collect-time providers (``Gauge.set_fn``) over
+    ``trace.busy_time`` and one memoized ``memory.peak_all()``, computed at
+    first read, off the simulation's critical path."""
+    obs.counter("sim.events").inc(len(graph))
     trace = result.trace
     makespan = result.makespan
-    fast = getattr(trace, "busy_totals", None)
-    if fast is not None and not trace._mutated:
-        # Columnar trace: the per-resource occupancy gauges are registered
-        # with collect-time providers (Gauge.set_fn) sharing one memoized
-        # busy_totals() pass — the vectorized sum runs once, at first read,
-        # off the simulation's critical path.  The label set needs no
-        # computation: every interned resource key appears in at least one
-        # op's incidence, so it matches busy_totals' key set exactly.
-        events = len(trace._cols()[0])
-        if makespan > 0:
-            cache: list = []
-
-            def _busy() -> dict:
-                if not cache:
-                    cache.append(fast() or {})
-                return cache[0]
-
-            for r in sorted(trace._compiled.resource_keys, key=str):
-                obs.gauge("sim.occupancy", resource=str(r)).set_fn(
-                    lambda r=r: _busy().get(r, 0.0) / makespan
-                )
-    else:
-        events = 0
-        busy = {}
-        for _name, start, end, resources, _tags in trace.iter_rows():
-            events += 1
-            width = end - start
-            for r in resources:
-                busy[r] = busy.get(r, 0.0) + width
-        if makespan > 0:
-            for r in sorted(busy, key=str):
-                obs.gauge("sim.occupancy", resource=str(r)).set(
-                    busy[r] / makespan
-                )
-    obs.counter("sim.events").inc(events)
-    # Memory peaks likewise: the columnar timeline's packed buffer names
-    # every device up front, and peak_all (vectorized, bit-identical to
-    # per-device peak()) is deferred behind one shared memoized provider.
-    memory = result.memory
-    pending = getattr(memory, "_pending", None)
-    if pending is not None:
-        mem_cache: list = []
-
-        def _peaks() -> dict:
-            if not mem_cache:
-                mem_cache.append(memory.peak_all())
-            return mem_cache[0]
-
-        for dev in sorted(pending[0], key=str):
-            obs.gauge("sim.memory_peak_bytes", device=str(dev)).set_fn(
-                lambda d=dev: _peaks().get(d, 0.0)
+    if makespan > 0:
+        for r in sorted(graph._res_keys, key=str):
+            obs.gauge("sim.occupancy", resource=str(r)).set_fn(
+                lambda r=r: trace.busy_time(r) / makespan
             )
-    else:
-        for dev, peak in memory.peak_all().items():
-            obs.gauge("sim.memory_peak_bytes", device=str(dev)).set(peak)
+    peaks = functools.cache(result.memory.peak_all)
+    for dev in sorted(graph._dev_keys, key=str):
+        obs.gauge("sim.memory_peak_bytes", device=str(dev)).set_fn(
+            lambda d=dev: peaks().get(d, 0.0)
+        )

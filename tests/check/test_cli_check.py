@@ -20,6 +20,14 @@ class TestCheckCommand:
         assert main(ARGS) == 0
         assert "oracles" in capsys.readouterr().out
 
+    def test_schedule_runs_engine_oracle(self, capsys):
+        assert main(ARGS + ["--schedule", "zb2bp"]) == 0
+        out = capsys.readouterr().out
+        rows = [line.split("|") for line in out.splitlines() if "|" in line]
+        cells = [[c.strip() for c in row] for row in rows]
+        assert ["vgg19", "oracles", "engines", "1", "0", "ok"] in cells
+        assert "all conformance checks passed" in out
+
     def test_engine_restriction(self, capsys):
         assert main(ARGS + ["--engine", "compiled", "--no-oracles"]) == 0
         out = capsys.readouterr().out

@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
+from repro.check.reference import event_bubble_fractions, event_critical_path
 from repro.faults import (
     ComputeJitter,
     SlowDevice,
     critical_path,
     critical_path_stages,
+    execute_plan_faulted,
     run_ensemble,
     stage_bubble_fractions,
 )
@@ -15,6 +17,7 @@ from repro.runtime import execute_plan
 from repro.sim import Op, Simulator, TaskGraph
 
 from tests.faults.test_inject import small_setup
+from tests.sim.test_compiled_equivalence import random_graph
 
 
 class TestCriticalPath:
@@ -67,6 +70,42 @@ class TestCriticalPath:
         bubbles = stage_bubble_fractions(res)
         assert set(bubbles) == {0, 1}
         assert all(0.0 <= v < 1.0 for v in bubbles.values())
+
+
+class TestAgainstEventOracle:
+    """The columnar analysis on the compiled trace == the event walk of
+    :mod:`repro.check.reference` on the reference engine's trace."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_critical_path_on_contention_graphs(self, seed):
+        graph = random_graph(seed, 150, 3)
+        fast = Simulator(graph, engine="compiled").run()
+        ref = Simulator(graph, engine="reference").run()
+        path = critical_path(graph, fast.trace)
+        oracle = event_critical_path(graph, ref.trace)
+        assert path
+        assert [(e.name, e.end) for e in path] == [
+            (e.name, e.end) for e in oracle
+        ]
+        assert path[-1].end == fast.makespan
+
+    @pytest.mark.parametrize("schedule", ["dapple", "gpipe"])
+    def test_bubble_fractions_and_signature(self, schedule):
+        prof, cluster, plan = small_setup()
+        fast = execute_plan_faulted(
+            prof, cluster, plan, (SlowDevice(factor=2.0),), seed=3,
+            schedule=schedule,
+        )
+        ref = execute_plan_faulted(
+            prof, cluster, plan, (SlowDevice(factor=2.0),), seed=3,
+            schedule=schedule, sim_engine="reference",
+        )
+        assert stage_bubble_fractions(fast.result) == event_bubble_fractions(
+            ref.result
+        )
+        path = critical_path(fast.graph, fast.result.trace)
+        oracle = event_critical_path(ref.graph, ref.result.trace)
+        assert critical_path_stages(path) == critical_path_stages(oracle)
 
 
 class TestRunEnsemble:

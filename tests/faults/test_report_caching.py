@@ -15,7 +15,7 @@ from repro.cluster import config_b
 from repro.core import profile_model
 from repro.core.plan import ParallelPlan, Stage
 from repro.faults import ComputeJitter, SlowDevice, run_ensemble
-from repro.faults.analysis import evaluate_seed
+from repro.check.reference import evaluate_seed
 from repro.models import uniform_model
 
 

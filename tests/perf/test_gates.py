@@ -37,7 +37,7 @@ from repro.core.plancache import PlanCache
 from repro.core.planner import plan_best
 from repro.core.serialization import graph_to_dict
 from repro.faults import ComputeJitter, SlowDevice, run_ensemble
-from repro.faults.analysis import evaluate_seed
+from repro.check.reference import evaluate_seed
 from repro.models import get_model, uniform_model
 from repro.runtime.executor import PipelineExecutor
 from repro.serve import PlanClient, PlanServer

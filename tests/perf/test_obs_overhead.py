@@ -126,8 +126,7 @@ def test_enabled_gauges_are_collect_time_providers():
         assert peak_g._fn is not None
         assert occ_g._fn is not None
         assert peak_g.value == res.memory.peak("gpu:0")
-        busy = res.trace.busy_totals()
-        assert occ_g.value == busy["gpu:0"] / res.makespan
+        assert occ_g.value == res.trace.busy_time("gpu:0") / res.makespan
         # Evaluated exactly once: reads are answered from the memo.
         assert peak_g._fn is None
         assert occ_g._fn is None

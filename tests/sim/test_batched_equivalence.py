@@ -200,18 +200,29 @@ class TestIncrementalPath:
         assert batch.makespan(0) == ref.makespan
 
 
-class TestScenarioView:
+class TestScenarioTraceAnalysis:
+    """Each scenario's columnar busy times and resource order == the
+    reference engine's event-list trace of a graph rebuilt with that row."""
+
+    SEED, N, NUM_RESOURCES = 11, 80, 4
+
     def _batch(self):
-        g = random_graph(11, 80, 4)
+        g = random_graph(self.SEED, self.N, self.NUM_RESOURCES)
         base = [op.duration for op in g.ops()]
-        matrix = perturbation_matrix(11, base, num_rows=2)
+        matrix = perturbation_matrix(self.SEED, base, num_rows=2)
         return compile_graph(g), run_batched(compile_graph(g), matrix)
+
+    def _reference(self, batch, s):
+        graph = rebuild_with_durations(
+            self.SEED, self.N, self.NUM_RESOURCES, batch.durations[s]
+        )
+        return Simulator(graph, engine="reference").run().trace
 
     def test_busy_time_matches_trace(self):
         cg, batch = self._batch()
         for s in (0, 1, batch.durations.shape[0] - 1):
             view = batch.view(s)
-            trace = batch.result(s).trace
+            trace = self._reference(batch, s)
             for key in cg.resource_keys:
                 assert view.busy_time(key) == trace.busy_time(key)
 
@@ -222,7 +233,7 @@ class TestScenarioView:
     def test_resource_sequence_matches_by_resource(self):
         cg, batch = self._batch()
         view = batch.view(1)
-        trace = batch.result(1).trace
+        trace = self._reference(batch, 1)
         for slot, key in enumerate(cg.resource_keys):
             names = [cg.ops[int(i)].name for i in view.resource_sequence(slot)]
             assert names == [e.name for e in trace.by_resource(key)]
