@@ -126,7 +126,8 @@ def _check_completeness(graph, rows, report: ConformanceReport) -> None:
     seen: dict[str, int] = {}
     for name, _s, _e, _r, _t in rows:
         seen[name] = seen.get(name, 0) + 1
-    for name in graph._order:
+    for op in graph.ops():
+        name = op.name
         n = seen.pop(name, 0)
         if n != 1:
             report.add(Violation(
@@ -141,14 +142,17 @@ def _check_completeness(graph, rows, report: ConformanceReport) -> None:
 
 def _check_durations(graph, rows, report: ConformanceReport) -> None:
     report.ran("duration-fidelity")
+    id_of = graph.id_of
+    declared = graph.duration_list
     for name, start, end, _r, _t in rows:
-        op = graph._ops.get(name)
-        if op is None:
+        i = id_of.get(name)
+        if i is None:
             continue  # flagged by completeness
-        if abs((end - start) - op.duration) > EPS * max(1.0, op.duration):
+        dur = declared[i]
+        if abs((end - start) - dur) > EPS * max(1.0, dur):
             report.add(Violation(
                 "duration-fidelity",
-                f"traced duration {end - start!r} != declared {op.duration!r}",
+                f"traced duration {end - start!r} != declared {dur!r}",
                 op=name,
             ))
 
@@ -157,11 +161,14 @@ def _check_dependencies(graph, trace, rows, report: ConformanceReport) -> None:
     report.ran("dependency-order")
     ends = {name: end for name, _s, end, _r, _t in rows}
     starts = {name: start for name, start, _e, _r, _t in rows}
-    for before in graph._order:
+    names = [op.name for op in graph.ops()]
+    for i, succs in enumerate(graph.succ_ids):
+        before = names[i]
         e = ends.get(before)
         if e is None:
             continue
-        for after in graph._succ[before]:
+        for j in succs:
+            after = names[j]
             s = starts.get(after)
             if s is None:
                 continue
@@ -197,9 +204,9 @@ def _check_lower_bound(graph, makespan: float, report: ConformanceReport) -> Non
     n = len(graph)
     if n == 0:
         return
-    dur = graph._dur_col
-    succ = graph._succ_ids
-    indeg = list(graph._pred_n)
+    dur = graph.duration_list
+    succ = graph.succ_ids
+    indeg = list(graph.indegree)
     order = [i for i, d in enumerate(indeg) if not d]
     finish = [0.0] * n
     for i in order:
@@ -223,10 +230,10 @@ def _check_lower_bound(graph, makespan: float, report: ConformanceReport) -> Non
         return
     critical = max(finish)
     work: dict = {}
-    res_col = graph._res_col
-    keys = graph._res_keys
+    res_slots = graph.res_slots
+    keys = graph.resource_keys
     for i in range(n):
-        slots = res_col[i]
+        slots = res_slots[i]
         if slots is None:
             continue
         for s in (slots,) if isinstance(slots, int) else slots:
@@ -264,10 +271,11 @@ def check_simulation(graph, result, subject: str = "simulation") -> ConformanceR
 # Pipeline-semantics checks (plan/schedule context required)
 # --------------------------------------------------------------------- #
 def _edge_set(graph) -> set:
+    names = [op.name for op in graph.ops()]
     return {
-        (before, after)
-        for before in graph._order
-        for after in graph._succ[before]
+        (names[i], names[j])
+        for i, succs in enumerate(graph.succ_ids)
+        for j in succs
     }
 
 

@@ -3,7 +3,7 @@
 Each function here is a deliberately naive second implementation of a
 production path, kept only to prove bit-identity with it:
 
-* :func:`run_reference` — the name-keyed drain-everything event loop that
+* :func:`run_reference` — the drain-everything event loop that
   ``Simulator(graph, engine="reference")`` runs.  The production loop
   (:class:`repro.sim.batched._BatchRunner`, behind ``engine="compiled"``)
   reproduces its makespans, traces, and memory timelines exactly;
@@ -79,58 +79,61 @@ def run_reference(graph) -> SimulationResult:
     At every completion instant the loop drains the whole ready heap in
     (priority, submission-seq) order and starts each op whose resources are
     all free — O(ready set) per event, which is what the production loop's
-    per-resource waiter heaps avoid.
+    per-resource waiter heaps avoid.  It reads each op's own fields and the
+    graph's dependency columns, not the interned resource, memory or
+    duration columns the production loop runs on.
     """
     pool = ResourcePool()
     trace = Trace()
     memory = MemoryTimeline()
 
-    pred_left = dict(graph._pred_count)
+    ops = graph.ops()
+    succ_ids = graph.succ_ids
+    pred_left = list(graph.indegree)
     seq = itertools.count()
-    op_ids = {op.name: i for i, op in enumerate(graph.ops())}
 
-    # Ready heap: (priority, submission-sequence, name).
-    ready: list[tuple[float, int, str]] = []
-    for op in graph.ops():
-        if pred_left[op.name] == 0:
-            heapq.heappush(ready, (op.priority, next(seq), op.name))
+    # Ready heap: (priority, submission-sequence, op id).
+    ready: list[tuple[float, int, int]] = []
+    for i, op in enumerate(ops):
+        if pred_left[i] == 0:
+            heapq.heappush(ready, (op.priority, next(seq), i))
 
-    # Completion heap: (end-time, sequence, name).
-    running: list[tuple[float, int, str]] = []
+    # Completion heap: (end-time, sequence, op id).
+    running: list[tuple[float, int, int]] = []
     now = 0.0
     completed = 0
 
     def try_dispatch() -> None:
         """Start every ready op whose resources are free, priority order."""
-        skipped: list[tuple[float, int, str]] = []
+        skipped: list[tuple[float, int, int]] = []
         while ready:
-            prio, sq, name = heapq.heappop(ready)
-            op = graph.op(name)
-            if pool.try_acquire(op.resources, op_ids[name]):
+            prio, sq, i = heapq.heappop(ready)
+            op = ops[i]
+            if pool.try_acquire(op.resources, i):
                 for eff in op.mem_effects:
                     if not eff.at_end:
                         memory.record(eff.device, now, eff.delta, PHASE_START)
-                heapq.heappush(running, (now + op.duration, sq, name))
+                heapq.heappush(running, (now + op.duration, sq, i))
             else:
-                skipped.append((prio, sq, name))
+                skipped.append((prio, sq, i))
         for item in skipped:
             heapq.heappush(ready, item)
 
-    def _complete(name: str, end: float) -> bool:
+    def _complete(i: int, end: float) -> bool:
         """Retire one finished op: release resources, settle memory,
         trace it, and wake successors.  Returns True when the dispatch
         state may have changed (resources freed or new ops ready) —
         False means a rescan of the ready heap would be a no-op.
         """
         nonlocal completed
-        op = graph.op(name)
-        pool.release(op.resources, op_ids[name])
+        op = ops[i]
+        pool.release(op.resources, i)
         for eff in op.mem_effects:
             if eff.at_end:
                 memory.record(eff.device, end, eff.delta, PHASE_END)
         trace.add(
             TraceEvent(
-                name=name,
+                name=op.name,
                 start=end - op.duration,
                 end=end,
                 resources=op.resources,
@@ -139,30 +142,30 @@ def run_reference(graph) -> SimulationResult:
         )
         completed += 1
         woke = False
-        for succ in graph._succ[name]:
-            pred_left[succ] -= 1
-            if pred_left[succ] == 0:
-                heapq.heappush(ready, (graph.op(succ).priority, next(seq), succ))
+        for j in succ_ids[i]:
+            pred_left[j] -= 1
+            if pred_left[j] == 0:
+                heapq.heappush(ready, (ops[j].priority, next(seq), j))
                 woke = True
         return woke or bool(op.resources)
 
     try_dispatch()
     total = len(graph)
     while running:
-        end, _, name = heapq.heappop(running)
+        end, _, i = heapq.heappop(running)
         now = end
-        changed = _complete(name, now)
+        changed = _complete(i, now)
         # Also drain any other ops finishing at the same instant before
         # dispatching, so resources freed simultaneously are all visible.
         while running and running[0][0] == now:
-            _, _, name2 = heapq.heappop(running)
-            changed = _complete(name2, now) or changed
+            _, _, i2 = heapq.heappop(running)
+            changed = _complete(i2, now) or changed
         if changed:
             try_dispatch()
 
     if completed != total:
         graph.validate_acyclic()  # a cycle raises the canonical ValueError
-        stuck = [n for n, c in pred_left.items() if c > 0]
+        stuck = [ops[i].name for i, c in enumerate(pred_left) if c > 0]
         raise RuntimeError(
             f"simulation deadlocked: {total - completed} ops never ran "
             f"(first few blocked: {stuck[:5]})"
@@ -181,10 +184,11 @@ def event_critical_path(graph, trace) -> list:
     events = list(trace.events)
     if not events:
         return []
+    names = [op.name for op in graph.ops()]
     preds: dict[str, list[str]] = {}
-    for name in graph._order:
-        for succ in graph._succ[name]:
-            preds.setdefault(succ, []).append(name)
+    for i, succs in enumerate(graph.succ_ids):
+        for j in succs:
+            preds.setdefault(names[j], []).append(names[i])
     ev_by_name = {e.name: e for e in events}
     # Called unbound, so a columnar trace's own index is bypassed.
     by_resource = Trace._build_res_idx(trace)

@@ -63,21 +63,22 @@ def critical_path(graph, trace) -> list:
     over resource predecessors, so the walk is deterministic.
 
     ``trace`` is the :class:`~repro.sim.compiled.ColumnarTrace` of a run of
-    ``graph``: the walk runs over its op-id columns, anchored at the last
-    completion, and materializes only the path's events.
+    ``graph``: the walk runs over the graph's and the trace's op-id columns,
+    anchored at the last completion, and materializes only the path's
+    events.
     """
-    cg = trace.compiled
-    if not cg.num_ops:
+    if not graph.num_ops:
         return []
+    ops = graph.ops()
     start = trace.start_by_op
     cur = trace.order[-1]
     path = [cur]
     while start[cur] > 0:
         # Dependency predecessors, then previous resource holders; max()
         # keeps the first of equally late candidates.
-        cands = list(cg.pred_lists[cur])
-        for r in cg.ops[cur].resources:
-            slot = cg.slot_of[r]
+        cands = list(graph.pred_lists[cur])
+        for r in ops[cur].resources:
+            slot = graph.slot_of[r]
             k = trace.resource_index(slot)[cur]
             if k > 0:
                 cands.append(int(trace.resource_sequence(slot)[k - 1]))
@@ -323,16 +324,15 @@ def run_ensemble(
             recompute=recompute,
             enforce_memory=enforce_memory,
         )
-        graph = executor.build_graph()
-        cg = compile_graph(graph)
+        graph = compile_graph(executor.build_graph())
         matrix = perturb_durations(graph, models, seeds)
         if clean is None:
-            rows = np.vstack([cg.durations[None, :], matrix])
+            rows = np.vstack([graph.durations[None, :], matrix])
             offset = 1
         else:
             rows = matrix
             offset = 0
-        batch = run_batched(cg, rows, record_memory=False)
+        batch = run_batched(graph, rows, record_memory=False)
         memo: dict[int, tuple] = {}
 
         def outcome(s: int, seed: int) -> SeedOutcome:

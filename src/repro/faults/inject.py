@@ -15,13 +15,13 @@ produce bit-identical traces.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
 from repro.faults.models import PerturbationModel
-from repro.sim.engine import Op, Simulator, TaskGraph
+from repro.sim.engine import Simulator, TaskGraph
 
 __all__ = ["perturb_graph", "rebuild_with_durations", "execute_plan_faulted", "FaultedExecution"]
 
@@ -40,23 +40,17 @@ def rebuild_with_durations(graph: TaskGraph, durations: Sequence[float]) -> Task
             f"{len(graph)} ops"
         )
     g = TaskGraph()
+    names = []
     for op, dur in zip(graph.ops(), durations):
         if dur < 0:
             raise ValueError(
                 f"perturbed duration for op {op.name!r} is negative ({dur})"
             )
-        clone = Op(
-            op.name,
-            dur,
-            resources=op.resources,
-            priority=op.priority,
-            tags=op.tags,
-        )
-        clone.mem_effects = list(op.mem_effects)
-        g.add(clone)
-    for name in graph._order:
-        for succ in graph._succ[name]:
-            g.add_dep(name, succ)
+        g.add(replace(op, duration=dur, mem_effects=list(op.mem_effects)))
+        names.append(op.name)
+    for i, succs in enumerate(graph.succ_ids):
+        for j in succs:
+            g.add_dep(names[i], names[j])
     return g
 
 
@@ -79,7 +73,7 @@ def perturb_graph(
     if not models:
         return graph
     ops = graph.ops()
-    durations = [op.duration for op in ops]
+    durations = list(graph.duration_list)
     children = np.random.SeedSequence(seed).spawn(len(models))
     for model, child in zip(models, children):
         durations = model.perturb(ops, durations, np.random.default_rng(child))

@@ -36,6 +36,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.schedules.tasks import COMPUTE_KINDS
+
 __all__ = [
     "PerturbationModel",
     "ComputeJitter",
@@ -47,8 +49,6 @@ __all__ = [
     "COMM_KINDS",
 ]
 
-#: Tag values marking compute ops in executor-built graphs.
-COMPUTE_KINDS = ("F", "B")
 
 #: Tag values marking communication ops in executor-built graphs.
 COMM_KINDS = ("send", "sendback")
@@ -265,7 +265,7 @@ class ComputeJitter(PerturbationModel):
 
     sigma: float = 0.1
     distribution: str = "lognormal"
-    kinds: tuple | None = COMPUTE_KINDS
+    kinds: frozenset | tuple | None = COMPUTE_KINDS
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.sigma < math.inf:
@@ -546,7 +546,7 @@ def perturb_durations(graph, models, seeds) -> np.ndarray:
     ops = graph.ops()
     models = list(models)
     seeds = [int(s) for s in seeds]
-    base = np.array([op.duration for op in ops], dtype=np.float64)
+    base = np.array(graph.duration_list, dtype=np.float64)
     out = np.empty((len(seeds), base.size), dtype=np.float64)
     if not models or not ops:
         out[:] = base

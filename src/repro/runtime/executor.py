@@ -225,104 +225,65 @@ class PipelineExecutor:
         if include_init:
             for i, stage in enumerate(plan.stages):
                 for d in stage.devices:
-                    op = Op(f"{prefix}init/s{i}/{d.resource_key}", 0.0, priority=-1e9)
-                    op.mem_effects.append(
-                        MemEffect(d.resource_key, self.stage_mem[i].persistent_bytes)
-                    )
-                    g.add(op)
+                    key = d.resource_key
+                    g.add(Op(
+                        f"{prefix}init/s{i}/{key}", 0.0, priority=-1e9,
+                        mem_effects=[
+                            MemEffect(key, self.stage_mem[i].persistent_bytes)
+                        ],
+                    ))
 
         # Backward split: BI carries this fraction of the combined backward
         # time, BW the rest (only consulted for schedules emitting BI/BW).
         w_frac = self.schedule.backward_weight_fraction
 
-        # Compute ops per stage replica.  A schedule may impose its own
-        # dispatch priorities (interleaved schedules order virtual stages
-        # sharing a device); the default is stream position.
+        # Compute ops per stage replica, emitted in stream order and chained
+        # per replica in that order (paper Fig. 11).  A schedule may impose
+        # its own dispatch priorities (interleaved schedules order virtual
+        # stages sharing a device); the default is stream position.
         for i, stage in enumerate(plan.stages):
             b = plan.device_batch(i)
             fwd = prof.fwd_time(stage.layer_lo, stage.layer_hi, b)
             bwd = prof.bwd_time(stage.layer_lo, stage.layer_hi, b)
+            extra = self._stage_ckpt[i].extra_backward_time
             sm = self.stage_mem[i]
             resident = sm.per_microbatch_bytes
             transient = sm.transient_backward_bytes
+            # Re-materialized intermediates live while a backward runs.
+            remat = ((transient, False), (-transient, True)) if transient > 0 else ()
+            # kind -> (duration before the replica's slowdown, memory effects
+            # as (delta, at_end)).  A forward allocates the micro-batch's
+            # activations and the backward (B, or BW when split) releases
+            # them; the split grad-input phase BI only reads them.
+            emit = {
+                "F": (fwd, ((resident, False),)),
+                "B": (bwd + extra, remat + ((-resident, True),)),
+                "BI": (bwd * (1.0 - w_frac) + extra, remat),
+                "BW": (bwd * w_frac, ((-resident, True),)),
+            }
+            keys = [d.resource_key for d in stage.devices]
+            slows = [self.device_slowdown.get(d.global_id, 1.0) for d in stage.devices]
+            chains: list[list[str]] = [[] for _ in keys]
             prios = self.schedule.stage_priorities(i)
             for pos, task in enumerate(streams[i]):
                 prio = priority_base + (prios[pos] if prios is not None else pos)
-                for r, d in enumerate(stage.devices):
-                    slow = self.device_slowdown.get(d.global_id, 1.0)
-                    if task.kind == "F":
-                        op = Op(
-                            f"{prefix}F/s{i}/m{task.micro_batch}/r{r}",
-                            fwd * slow,
-                            resources=(d.resource_key,),
-                            priority=prio,
-                            tags={"kind": "F", "stage": i, "mb": task.micro_batch},
-                        )
-                        op.mem_effects.append(MemEffect(d.resource_key, resident))
-                    elif task.kind == "B":
-                        dur = (bwd + self._stage_ckpt[i].extra_backward_time) * slow
-                        op = Op(
-                            f"{prefix}B/s{i}/m{task.micro_batch}/r{r}",
-                            dur,
-                            resources=(d.resource_key,),
-                            priority=prio,
-                            tags={"kind": "B", "stage": i, "mb": task.micro_batch},
-                        )
-                        if transient > 0:
-                            op.mem_effects.append(MemEffect(d.resource_key, transient))
-                            op.mem_effects.append(
-                                MemEffect(d.resource_key, -transient, at_end=True)
-                            )
-                        op.mem_effects.append(
-                            MemEffect(d.resource_key, -resident, at_end=True)
-                        )
-                    elif task.kind == "BI":
-                        # Grad-input phase: on the cross-stage gradient
-                        # chain; reads the activations (re-materializing
-                        # them first under checkpointing) but does not
-                        # release them.
-                        dur = (
-                            bwd * (1.0 - w_frac)
-                            + self._stage_ckpt[i].extra_backward_time
-                        ) * slow
-                        op = Op(
-                            f"{prefix}BI/s{i}/m{task.micro_batch}/r{r}",
-                            dur,
-                            resources=(d.resource_key,),
-                            priority=prio,
-                            tags={"kind": "BI", "stage": i, "mb": task.micro_batch},
-                        )
-                        if transient > 0:
-                            op.mem_effects.append(MemEffect(d.resource_key, transient))
-                            op.mem_effects.append(
-                                MemEffect(d.resource_key, -transient, at_end=True)
-                            )
-                    else:  # BW — grad-weight phase, releases the activations.
-                        op = Op(
-                            f"{prefix}BW/s{i}/m{task.micro_batch}/r{r}",
-                            bwd * w_frac * slow,
-                            resources=(d.resource_key,),
-                            priority=prio,
-                            tags={"kind": "BW", "stage": i, "mb": task.micro_batch},
-                        )
-                        op.mem_effects.append(
-                            MemEffect(d.resource_key, -resident, at_end=True)
-                        )
-                    g.add(op)
-
-        # Control chains: schedule order per replica (paper Fig. 11).
-        for i, stage in enumerate(plan.stages):
-            heads = []
-            for r in range(stage.replicas):
-                prev = None
-                for task in streams[i]:
-                    name = f"{prefix}{task.kind}/s{i}/m{task.micro_batch}/r{r}"
-                    if prev is not None:
-                        g.add_dep(prev, name)
-                    else:
-                        heads.append(name)
-                    prev = name
-            first_ops[i] = heads
+                kind, mb = task.kind, task.micro_batch
+                base, effects = emit[kind]
+                for r, key in enumerate(keys):
+                    name = f"{prefix}{kind}/s{i}/m{mb}/r{r}"
+                    g.add(Op(
+                        name,
+                        base * slows[r],
+                        resources=(key,),
+                        priority=prio,
+                        tags={"kind": kind, "stage": i, "mb": mb},
+                        mem_effects=[MemEffect(key, v, e) for v, e in effects],
+                    ))
+                    chains[r].append(name)
+            first_ops[i] = [chain[0] for chain in chains if chain]
+            for chain in chains:
+                for before, after in zip(chain, chain[1:]):
+                    g.add_dep(before, after)
 
         # Which backward flavour each stage runs per micro-batch: the
         # grad-chain op ("B", or "BI" when split) carries the cross-stage

@@ -1,9 +1,8 @@
 """Discrete-event simulation substrate.
 
 This package provides the execution engine underneath the DAPPLE runtime:
-a deterministic list-scheduling simulator over a static task graph
-(:mod:`repro.sim.engine`), the graph's compiled index form and the
-columnar trace every production run returns (:mod:`repro.sim.compiled`),
+a deterministic list-scheduling simulator over a static task graph stored
+as indexed columns (:mod:`repro.sim.engine`), the columnar trace every production run returns (:mod:`repro.sim.compiled`),
 the event loop itself, which runs one duration row or a whole fault
 ensemble in one pass (:mod:`repro.sim.batched`), and the reference
 engine's event-list trace with per-device memory timelines
@@ -19,7 +18,6 @@ from repro.sim.chrome_trace import export_chrome_trace, trace_to_events
 from repro.sim.compiled import (
     ColumnarMemoryTimeline,
     ColumnarTrace,
-    CompiledTaskGraph,
     compile_graph,
     run_compiled,
 )
@@ -32,7 +30,6 @@ __all__ = [
     "Simulator",
     "SimulationResult",
     "ENGINES",
-    "CompiledTaskGraph",
     "ColumnarTrace",
     "ColumnarMemoryTimeline",
     "compile_graph",

@@ -1,8 +1,8 @@
 """The simulator's event loop, run over one or many duration rows.
 
-:class:`_BatchRunner` is the only production event loop.  It executes a
-:class:`~repro.sim.compiled.CompiledTaskGraph` with a *waiter heap per
-resource slot*: an op found blocked at dispatch time parks on the first
+:class:`_BatchRunner` is the only production event loop.  It executes the
+indexed columns of a :class:`~repro.sim.engine.TaskGraph` with a *waiter
+heap per resource slot*: an op found blocked at dispatch time parks on the first
 busy resource it needs, and a completion event only promotes the best
 waiter of each resource it just freed (plus newly-woken successors) —
 unlike the reference loop in :mod:`repro.check.reference`, which drains
@@ -40,7 +40,7 @@ every scenario through shared loop state:
 * **Scenario-major layout** — durations arrive as one ``(S, ops)`` float64
   matrix; row ``s`` is scenario ``s``'s duration column.  All structural
   columns (adjacency, resource slots, priorities, memory effects, the
-  pre-sorted root set) are derived once from the compiled graph and reused
+  pre-sorted root set) are read once from the graph and reused
   by every row, as are the per-resource waiter heaps and busy flags (both
   drain back to empty when a scenario completes, so reuse is free).
 * **Row dedup** — scenarios whose duration rows are bytewise identical share
@@ -78,11 +78,7 @@ import heapq
 import numpy as np
 
 import repro.obs as obs
-from repro.sim.compiled import (
-    ColumnarMemoryTimeline,
-    ColumnarTrace,
-    CompiledTaskGraph,
-)
+from repro.sim.compiled import ColumnarMemoryTimeline, ColumnarTrace
 from repro.sim.trace import PHASE_END, PHASE_START
 
 __all__ = [
@@ -140,24 +136,23 @@ class _BatchRunner:
     the whole batch, so the runner is never reused after one.
     """
 
-    def __init__(self, cg: CompiledTaskGraph, record_memory: bool, track: bool):
-        self.cg = cg
-        n = cg.num_ops
-        prio = cg.priorities.tolist()
-        self.prio = prio
-        self.succ = cg._succ_lists
-        self.res = cg._res_lists
+    def __init__(self, graph, record_memory: bool, track: bool):
+        self.graph = graph
+        n = graph.num_ops
+        prio = self.prio = graph.priorities
+        self.succ = graph.succ_ids
+        self.res = graph.res_slots
         self.record_memory = record_memory
         if record_memory:
-            self.mem_start = cg.mem_start
-            self.mem_end = cg.mem_end
+            self.mem_start = graph.mem_start
+            self.mem_end = graph.mem_end
         else:
             # All-empty effect columns: the loop's ``if ms:`` guards never
             # fire, so skipping memory costs nothing extra per op.
             self.mem_start = self.mem_end = [()] * n
-        pred0 = self.pred0 = list(cg._pred_list)
-        self.busy = [False] * cg.num_resources
-        self.waiters: list[list] = [[] for _ in range(cg.num_resources)]
+        pred0 = self.pred0 = list(graph.indegree)
+        self.busy = [False] * graph.num_resources
+        self.waiters: list[list] = [[] for _ in range(graph.num_resources)]
         # Roots as (priority, seq, id) tuples — seq assigned in graph
         # order, the reference's submission order — pre-sorted once.
         roots = []
@@ -180,8 +175,7 @@ class _BatchRunner:
         run; ``resume`` replays from a prior run's snapshot, with ``base``
         supplying the (order, ends, mem) columns to slice the prefix from.
         """
-        cg = self.cg
-        n = cg.num_ops
+        n = self.graph.num_ops
         prio = self.prio
         succ = self.succ
         res = self.res
@@ -392,7 +386,8 @@ class _BatchRunner:
                         queue.append(v)
             if seen != n:
                 raise ValueError("task graph contains a dependency cycle")
-            stuck = [cg.ops[i].name for i in range(n) if pred_left[i] > 0]
+            ops = self.graph.ops()
+            stuck = [ops[i].name for i in range(n) if pred_left[i] > 0]
             raise RuntimeError(
                 f"simulation deadlocked: {n - len(order_col)} ops never ran "
                 f"(first few blocked: {stuck[:5]})"
@@ -403,15 +398,15 @@ class _BatchRunner:
 class BatchedSimulation:
     """Results of one :func:`run_batched` call over S scenarios.
 
-    Holds the shared compiled graph, the duration matrix, and per-scenario
+    Holds the shared graph, the duration matrix, and per-scenario
     columnar (order, ends, memory) buffers — deduplicated scenarios alias
     the same buffers.  Per-scenario :class:`~repro.sim.compiled.ColumnarTrace`
     objects and the :class:`~repro.sim.engine.SimulationResult` wrapping
     them materialize lazily.
     """
 
-    def __init__(self, compiled, durations, orders, ends, mems, kinds):
-        self.compiled = compiled
+    def __init__(self, graph, durations, orders, ends, mems, kinds):
+        self.graph = graph
         #: The (S, ops) duration matrix actually simulated.
         self.durations = durations
         self._orders = orders
@@ -445,7 +440,7 @@ class BatchedSimulation:
                 "use view()/makespan() or re-run with record_memory=True"
             )
         trace = self.view(s)
-        memory = ColumnarMemoryTimeline(self.compiled.device_keys, self._mems[s])
+        memory = ColumnarMemoryTimeline(self.graph.device_keys, self._mems[s])
         return SimulationResult(
             makespan=trace.makespan(), trace=trace, memory=memory
         )
@@ -457,14 +452,14 @@ class BatchedSimulation:
         v = self._views.get(key)
         if v is None:
             v = self._views[key] = ColumnarTrace(
-                self.compiled, self._orders[s], self._ends[s],
+                self.graph, self._orders[s], self._ends[s],
                 durations=self.durations[s],
             )
         return v
 
 
 def run_batched(
-    cg: CompiledTaskGraph,
+    graph,
     durations,
     *,
     record_memory: bool = True,
@@ -489,9 +484,9 @@ def run_batched(
             f"durations must be a (scenarios, ops) matrix, got shape {rows.shape}"
         )
     S, n = rows.shape
-    if n != cg.num_ops:
+    if n != graph.num_ops:
         raise ValueError(
-            f"duration matrix has {n} columns for {cg.num_ops} ops"
+            f"duration matrix has {n} columns for {graph.num_ops} ops"
         )
     if S == 0:
         raise ValueError("need at least one scenario row")
@@ -500,12 +495,12 @@ def run_batched(
         s, i = np.argwhere(~((rows >= 0.0) & (rows < np.inf)))[0]
         kind = "negative" if rows[s, i] < 0 else "non-finite"
         raise ValueError(
-            f"perturbed duration for op {cg.ops[int(i)].name!r} is {kind} "
+            f"perturbed duration for op {graph.ops()[int(i)].name!r} is {kind} "
             f"({rows[s, i]}) in scenario {s}"
         )
     track = obs.enabled()
     with _gc_paused(), obs.span("sim.run_batched", scenarios=S, ops=n):
-        sim = _run_batch(cg, rows, record_memory, snapshots, track)
+        sim = _run_batch(graph, rows, record_memory, snapshots, track)
     if track:
         _record_batch_metrics(sim)
     return sim
@@ -537,10 +532,10 @@ def _record_loop_histograms(runner: "_BatchRunner") -> None:
     ).observe_many(runner.batch_sizes)
 
 
-def _run_batch(cg, rows, record_memory, snapshots, track) -> BatchedSimulation:
-    n = cg.num_ops
+def _run_batch(graph, rows, record_memory, snapshots, track) -> BatchedSimulation:
+    n = graph.num_ops
     S = rows.shape[0]
-    runner = _BatchRunner(cg, record_memory, track)
+    runner = _BatchRunner(graph, record_memory, track)
 
     thresholds = None
     if snapshots and S > 1 and n >= _INCREMENTAL_MIN_OPS:
@@ -604,7 +599,7 @@ def _run_batch(cg, rows, record_memory, snapshots, track) -> BatchedSimulation:
         _record_loop_histograms(runner)
 
     return BatchedSimulation(
-        cg, rows, orders, ends, mems if record_memory else None, tuple(kinds),
+        graph, rows, orders, ends, mems if record_memory else None, tuple(kinds),
     )
 
 

@@ -1,15 +1,9 @@
-"""Compiled task graphs and the columnar trace/memory types.
+"""Compiling a task graph, and the columnar trace/memory types.
 
-:func:`compile_graph` presents a :class:`~repro.sim.engine.TaskGraph` as a
-:class:`CompiledTaskGraph`: integer op ids in submission order, int-id
-successor lists, resource keys and memory-effect devices
-interned to dense slots, and durations/priorities/memory deltas as numpy
-columns (materialized lazily — the event loop itself runs on plain-python
-views, which are several times faster to index one element at a time).
-The underlying columns are maintained incrementally by ``TaskGraph.add`` /
-``add_dep``, so compilation is an O(1) wrap, not a per-op pass.
-:func:`run_compiled` executes the lowered graph on the simulator's event
-loop (:mod:`repro.sim.batched`) as a one-row run.
+:func:`compile_graph` seals a :class:`~repro.sim.engine.TaskGraph` — whose
+indexed columns are the only representation the simulator needs — and
+:func:`run_compiled` executes it on the simulator's event loop
+(:mod:`repro.sim.batched`) as a one-row run.
 
 Traces and memory deltas are recorded into columnar buffers.
 :class:`ColumnarTrace`, the trace of every production run and ensemble
@@ -33,107 +27,18 @@ from repro.sim.trace import (
     PHASE_START,
 )
 
-class CompiledTaskGraph:
-    """A :class:`~repro.sim.engine.TaskGraph` lowered to dense indices.
 
-    The canonical storage is plain-python columns (lists indexed by op id,
-    adjacency as lists of int ids) because the event loop interprets them
-    element-wise; the numpy views (``durations``, ``priorities``, and the
-    resource incidence) are cached properties materialized on first access
-    for vectorized analyses and the columnar trace.
+def compile_graph(graph):
+    """Seal ``graph`` for simulation and return it.
+
+    The graph already is its indexed form — :meth:`TaskGraph.add
+    <repro.sim.engine.TaskGraph.add>` and ``add_dep`` maintain the columns
+    the event loop runs on — so compiling is O(1).  Sealing makes the graph
+    reject further ops and dependencies, so the columns a run reads cannot
+    change under it or under the trace it returns.
     """
-
-    def __init__(self, ops, succ_lists, res_lists, pred_count, resource_keys,
-                 device_keys, mem_start, mem_end, id_of,
-                 durations, priorities, res_flat):
-        #: Original Op objects in id order (id = submission order); names,
-        #: tags, and resource-key tuples are read from here when trace rows
-        #: are lazily materialized.
-        self.ops = ops
-        self.id_of = id_of
-        self.resource_keys = resource_keys
-        self.device_keys = device_keys
-        #: Per-op start/end memory effects as tuples of (device_slot, delta).
-        self.mem_start = mem_start
-        self.mem_end = mem_end
-        self._dur_list = durations
-        self._prio_list = priorities
-        self._succ_lists = succ_lists
-        self._res_lists = res_lists
-        self._pred_list = pred_count
-        #: Pre-flattened (op ids, resource slots) incidence columns
-        #: maintained incrementally by the graph.
-        self._res_flat = res_flat
-
-    @property
-    def num_ops(self) -> int:
-        return len(self.ops)
-
-    @property
-    def num_resources(self) -> int:
-        return len(self.resource_keys)
-
-    @cached_property
-    def durations(self) -> np.ndarray:
-        return np.array(self._dur_list, dtype=np.float64)
-
-    @cached_property
-    def priorities(self) -> np.ndarray:
-        return np.array(self._prio_list, dtype=np.float64)
-
-    @cached_property
-    def res_incidence(self) -> tuple[np.ndarray, np.ndarray]:
-        """Flattened op×resource incidence: parallel (op id, resource slot)
-        arrays, op-major with each op's slots in declaration order — the
-        expansion batched analyses sort per scenario."""
-        ops_l, slots_l = self._res_flat
-        return (
-            np.array(ops_l, dtype=np.int64),
-            np.array(slots_l, dtype=np.int64),
-        )
-
-    @cached_property
-    def slot_of(self) -> dict:
-        """Resource key → dense slot (inverse of :attr:`resource_keys`)."""
-        return {k: i for i, k in enumerate(self.resource_keys)}
-
-    @cached_property
-    def pred_lists(self) -> list[list[int]]:
-        """Predecessors of each op, in predecessor-submission order (the
-        iteration order the critical-path walk in :mod:`repro.faults`
-        tie-breaks on)."""
-        preds: list[list[int]] = [[] for _ in range(self.num_ops)]
-        for i, succs in enumerate(self._succ_lists):
-            for j in succs:
-                preds[j].append(i)
-        return preds
-
-
-def compile_graph(graph) -> CompiledTaskGraph:
-    """Wrap ``graph``'s indexed columns as a :class:`CompiledTaskGraph`.
-
-    The columns themselves (op ids, int adjacency, interned resource and
-    device slots, duration/priority/memory-effect columns) are maintained
-    *incrementally* by :meth:`~repro.sim.engine.TaskGraph.add` and
-    ``add_dep``, so this is an O(1) view construction rather than a per-op
-    lowering pass.  The view aliases the live graph: compile after the
-    graph is fully built, and don't mutate the graph between compiling and
-    running.
-    """
-    return CompiledTaskGraph(
-        list(graph._ops.values()),
-        graph._succ_ids,
-        graph._res_col,
-        graph._pred_n,
-        graph._res_keys,
-        graph._dev_keys,
-        graph._mem_start_col,
-        graph._mem_end_col,
-        graph._id_of,
-        graph._dur_col,
-        graph._prio_col,
-        (graph._res_flat_ops, graph._res_flat_slots),
-    )
+    graph.sealed = True
+    return graph
 
 
 class ColumnarTrace(Trace):
@@ -156,14 +61,14 @@ class ColumnarTrace(Trace):
       critical-path walk in :mod:`repro.faults.analysis`.
     """
 
-    def __init__(self, compiled: CompiledTaskGraph, order, ends,
-                 durations=None) -> None:
+    def __init__(self, graph, order, ends, durations=None) -> None:
         # Deliberately does not call Trace.__init__: ``events`` is lazy here.
-        self.compiled = compiled
+        #: The sealed :class:`~repro.sim.engine.TaskGraph` that ran.
+        self.graph = graph
         #: Op ids in completion order.
         self.order = order
         self._ends = ends
-        self._durations = compiled.durations if durations is None else durations
+        self._durations = graph.durations if durations is None else durations
         self._event_cache: dict[int, TraceEvent] = {}
         # Completion times are emitted in non-decreasing order, so the
         # makespan is simply the last row's end.
@@ -175,7 +80,7 @@ class ColumnarTrace(Trace):
 
     @cached_property
     def end_by_op(self) -> np.ndarray:
-        end = np.empty(self.compiled.num_ops, dtype=np.float64)
+        end = np.empty(self.graph.num_ops, dtype=np.float64)
         end[self.order] = self._ends
         return end
 
@@ -188,8 +93,8 @@ class ColumnarTrace(Trace):
         """(op ids, resource slots) of every event×resource entry, sorted by
         (resource, start, end, completion order) — by_resource order, all
         resources concatenated."""
-        ops_e, res_e = self.compiled.res_incidence
-        pos = np.empty(self.compiled.num_ops, dtype=np.int64)
+        ops_e, res_e = self.graph.res_incidence
+        pos = np.empty(self.graph.num_ops, dtype=np.int64)
         pos[self.order] = np.arange(len(self.order), dtype=np.int64)
         idx = np.lexsort((
             pos[ops_e], self.end_by_op[ops_e], self.start_by_op[ops_e], res_e,
@@ -199,7 +104,7 @@ class ColumnarTrace(Trace):
     @cached_property
     def busy_by_slot(self) -> np.ndarray:
         """Per-resource-slot total busy time (see class docstring)."""
-        busy = np.zeros(self.compiled.num_resources, dtype=np.float64)
+        busy = np.zeros(self.graph.num_resources, dtype=np.float64)
         ops_s, res_s = self._sorted_incidence
         widths = self.end_by_op - self.start_by_op
         np.add.at(busy, res_s, widths[ops_s])
@@ -223,7 +128,7 @@ class ColumnarTrace(Trace):
         """The trace row of op ``op_id``, materialized once."""
         ev = self._event_cache.get(op_id)
         if ev is None:
-            op = self.compiled.ops[op_id]
+            op = self.graph.ops()[op_id]
             ev = self._event_cache[op_id] = TraceEvent(
                 op.name, float(self.start_by_op[op_id]),
                 float(self.end_by_op[op_id]), op.resources, op.tags,
@@ -238,27 +143,27 @@ class ColumnarTrace(Trace):
         raise TypeError("a ColumnarTrace is read-only")
 
     def iter_rows(self):
-        ops = self.compiled.ops
+        ops = self.graph.ops()
         starts = self.start_by_op.tolist()
         for i, end in zip(self.order, self._ends):
             op = ops[i]
             yield op.name, starts[i], end, op.resources, op.tags
 
     def find(self, name: str) -> TraceEvent:
-        op_id = self.compiled.id_of.get(name)
+        op_id = self.graph.id_of.get(name)
         if op_id is None:
             raise KeyError(f"expected exactly one event named {name!r}, got 0")
         return self.event(op_id)
 
     def by_resource(self, key) -> list[TraceEvent]:
-        slot = self.compiled.slot_of.get(key)
+        slot = self.graph.slot_of.get(key)
         if slot is None:
             return []
         return [self.event(int(i)) for i in self.resource_sequence(slot)]
 
     def busy_time(self, key) -> float:
         """``Trace.busy_time(key)``, bit-identical (0.0 for unknown keys)."""
-        slot = self.compiled.slot_of.get(key)
+        slot = self.graph.slot_of.get(key)
         if slot is None:
             return 0.0
         return float(self.busy_by_slot[slot])
@@ -358,7 +263,7 @@ class ColumnarMemoryTimeline(MemoryTimeline):
         return dict(sorted(out.items(), key=lambda kv: str(kv[0])))
 
 
-def run_compiled(cg: CompiledTaskGraph):
+def run_compiled(graph):
     """Execute a compiled graph on its own durations; returns a
     SimulationResult.
 
@@ -373,10 +278,10 @@ def run_compiled(cg: CompiledTaskGraph):
 
     track = obs.enabled()
     with _gc_paused():
-        runner = _BatchRunner(cg, True, track)
-        order, ends, mem_rows, _ = runner.run(cg.durations.tolist())
-        trace = ColumnarTrace(cg, order, ends)
-        memory = ColumnarMemoryTimeline(cg.device_keys, mem_rows)
+        runner = _BatchRunner(graph, True, track)
+        order, ends, mem_rows, _ = runner.run(graph.durations.tolist())
+        trace = ColumnarTrace(graph, order, ends)
+        memory = ColumnarMemoryTimeline(graph.device_keys, mem_rows)
         result = SimulationResult(
             makespan=trace.makespan(), trace=trace, memory=memory
         )

@@ -21,14 +21,14 @@ that produces the makespan.
 
 Two engines implement these semantics:
 
-* ``"compiled"`` (default) — :mod:`repro.sim.compiled` presents the graph's
-  indexed columns (integer op ids, int adjacency, interned resource slots)
-  and the single event loop of :mod:`repro.sim.batched` runs them as a
-  one-row batch, dispatching with per-resource waiter queues so a
-  completion only re-examines ops actually blocked on the freed resources.
-  Traces and memory deltas land in columnar buffers with lazy
+* ``"compiled"`` (default) — the single event loop of
+  :mod:`repro.sim.batched` runs the graph's indexed columns (integer op
+  ids, int adjacency, interned resource slots) as a one-row batch,
+  dispatching with per-resource waiter queues so a completion only
+  re-examines ops actually blocked on the freed resources.  Traces and
+  memory deltas land in columnar buffers with lazy
   :class:`~repro.sim.trace.TraceEvent` materialization.
-* ``"reference"`` — the name-keyed drain-everything loop of
+* ``"reference"`` — the drain-everything loop of
   :func:`repro.check.reference.run_reference`, kept as the bit-identical
   oracle for debugging and equivalence testing
   (``tests/sim/test_compiled_equivalence.py``).
@@ -40,14 +40,15 @@ from __future__ import annotations
 
 import functools
 import math
-import os
 from dataclasses import dataclass, field
+
+import numpy as np
 
 import repro.obs as obs
 from repro.sim.trace import MemoryTimeline, Trace
 
 
-@dataclass
+@dataclass(frozen=True)
 class MemEffect:
     """A memory delta applied on ``device`` at op start or end."""
 
@@ -56,7 +57,7 @@ class MemEffect:
     at_end: bool = False
 
 
-@dataclass
+@dataclass(frozen=True)
 class Op:
     """One schedulable operation.
 
@@ -76,11 +77,15 @@ class Op:
     tags:
         Free-form metadata copied into the trace (stage id, micro-batch id,
         op kind) for post-run assertions and Gantt rendering.
+    mem_effects:
+        :class:`MemEffect` list applied when the op starts or ends.
 
-    An op's duration, priority, resources, and memory effects are snapshot
-    into the graph's indexed columns by :meth:`TaskGraph.add` — attach
-    ``mem_effects`` *before* adding the op to a graph.  Mutations after
-    ``add`` are seen only by the reference engine.
+    Ops are frozen: :meth:`TaskGraph.add` reads an op once into the
+    graph's columns, so a field reassigned afterwards would let the op and
+    its columns disagree.  ``mem_effects`` is still a plain list: pass it to
+    the constructor or append to it before adding the op.  Appending after
+    :meth:`TaskGraph.add` is unsupported and is not caught — the reference
+    loop would see the new effect, the event loop would not.
     """
 
     name: str
@@ -94,7 +99,10 @@ class Op:
         if not 0.0 <= self.duration < math.inf:
             kind = "negative" if self.duration < 0 else "non-finite"
             raise ValueError(f"op {self.name!r} has {kind} duration {self.duration}")
-        resources = self.resources = tuple(self.resources)
+        resources = self.resources
+        if type(resources) is not tuple:
+            resources = tuple(resources)
+            object.__setattr__(self, "resources", resources)
         if len(resources) > 1 and len(set(resources)) != len(resources):
             raise ValueError(
                 f"op {self.name!r} names a resource more than once: {resources}"
@@ -102,128 +110,174 @@ class Op:
 
 
 class TaskGraph:
-    """A static DAG of ops with data/control dependencies.
+    """A static DAG of ops with data/control dependencies, stored as
+    indexed columns.
 
-    Alongside the name-keyed maps (used by the reference engine and
-    external callers), the graph incrementally maintains an *indexed form*:
-    integer op ids in submission order, int-id adjacency, resource keys and
-    memory-effect devices interned to dense slots, and duration/priority
-    columns.  :func:`repro.sim.compiled.compile_graph` wraps these columns
-    in O(1) instead of re-deriving them with a per-op pass.  Op metadata is
-    snapshot at :meth:`add` time (see :class:`Op`).
+    An op's id is its submission order.  :meth:`add` reads each op once
+    into per-op columns; the event loop, the reference oracle, the trace
+    analyses and the invariants all read these columns:
+
+    * ``id_of`` — op name → id;
+    * ``succ_ids`` / ``indegree`` — successor ids in :meth:`add_dep` order,
+      and predecessor counts;
+    * ``duration_list`` / ``priorities`` — plain float lists;
+    * ``res_slots`` — resource slots shape-specialized for the event loop:
+      ``None`` (no resources), a bare ``int`` (the common single-resource
+      op) or a tuple of slots; ``resource_keys`` / ``slot_of`` intern the
+      keys;
+    * ``mem_start`` / ``mem_end`` — per-op ``(device slot, delta)`` tuples,
+      with ``device_keys`` interning the devices.
+
+    :func:`repro.sim.compiled.compile_graph` seals the graph before it is
+    simulated; so does the first read of a derived column (``durations``,
+    ``res_incidence``, ``pred_lists``), which is a snapshot.  A sealed
+    graph rejects :meth:`add` and :meth:`add_dep`.
     """
 
     def __init__(self) -> None:
-        self._ops: dict[str, Op] = {}
-        self._succ: dict[str, list[str]] = {}
-        self._pred_count: dict[str, int] = {}
-        self._order: list[str] = []
-        # Indexed form, maintained incrementally by add()/add_dep().
-        self._id_of: dict[str, int] = {}
-        self._succ_ids: list[list[int]] = []
-        self._pred_n: list[int] = []
-        self._dur_col: list[float] = []
-        self._prio_col: list[float] = []
-        self._res_slot_of: dict = {}
-        self._res_keys: list = []
-        # Per-op resource slots, shape-specialized for the event loop:
-        # ``None`` (no resources), a bare ``int`` (the overwhelmingly common
-        # single-resource op), or a tuple of slots.
-        self._res_col: list = []
-        # Flat op×resource incidence (parallel op-id / slot columns,
-        # op-major, slots in declaration order) — the expansion vectorized
-        # analyses consume; maintained here so compile stays O(1).
-        self._res_flat_ops: list[int] = []
-        self._res_flat_slots: list[int] = []
-        self._dev_slot_of: dict = {}
-        self._dev_keys: list = []
-        self._mem_start_col: list[tuple] = []
-        self._mem_end_col: list[tuple] = []
+        self._op_list: list[Op] = []
+        self.id_of: dict[str, int] = {}
+        self.succ_ids: list[list[int]] = []
+        self.indegree: list[int] = []
+        self.duration_list: list[float] = []
+        self.priorities: list[float] = []
+        self.res_slots: list = []
+        self.resource_keys: list = []
+        self.slot_of: dict = {}
+        self.mem_start: list[tuple] = []
+        self.mem_end: list[tuple] = []
+        self.device_keys: list = []
+        self._device_slot_of: dict = {}
+        self.sealed = False
 
     def add(self, op: Op) -> Op:
         name = op.name
-        if name in self._ops:
+        if self.sealed:
+            raise RuntimeError(f"task graph is sealed; cannot add op {name!r}")
+        id_of = self.id_of
+        if name in id_of:
             raise ValueError(f"duplicate op name {name!r}")
-        self._ops[name] = op
-        self._succ[name] = []
-        self._pred_count[name] = 0
-        self._order.append(name)
-
-        self._id_of[name] = len(self._succ_ids)
-        self._succ_ids.append([])
-        self._pred_n.append(0)
-        self._dur_col.append(op.duration)
-        self._prio_col.append(op.priority)
+        id_of[name] = len(self._op_list)
+        self._op_list.append(op)
+        self.succ_ids.append([])
+        self.indegree.append(0)
+        self.duration_list.append(op.duration)
+        self.priorities.append(op.priority)
         resources = op.resources
         if resources:
-            op_id = self._id_of[name]
-            slot_of = self._res_slot_of
-            keys = self._res_keys
-            flat_ops = self._res_flat_ops
-            flat_slots = self._res_flat_slots
+            slot_of = self.slot_of
             slots = []
             for key in resources:
                 s = slot_of.get(key)
                 if s is None:
-                    s = slot_of[key] = len(keys)
-                    keys.append(key)
+                    s = slot_of[key] = len(self.resource_keys)
+                    self.resource_keys.append(key)
                 slots.append(s)
-                flat_ops.append(op_id)
-                flat_slots.append(s)
-            self._res_col.append(slots[0] if len(slots) == 1 else tuple(slots))
+            self.res_slots.append(slots[0] if len(slots) == 1 else tuple(slots))
         else:
-            self._res_col.append(None)
+            self.res_slots.append(None)
         effects = op.mem_effects
         if effects:
-            dev_of = self._dev_slot_of
-            dev_keys = self._dev_keys
+            dev_of = self._device_slot_of
             starts: list = []
             ends: list = []
             for eff in effects:
                 d = dev_of.get(eff.device)
                 if d is None:
-                    d = dev_of[eff.device] = len(dev_keys)
-                    dev_keys.append(eff.device)
+                    d = dev_of[eff.device] = len(self.device_keys)
+                    self.device_keys.append(eff.device)
                 (ends if eff.at_end else starts).append((d, eff.delta))
-            self._mem_start_col.append(tuple(starts))
-            self._mem_end_col.append(tuple(ends))
+            self.mem_start.append(tuple(starts))
+            self.mem_end.append(tuple(ends))
         else:
-            self._mem_start_col.append(())
-            self._mem_end_col.append(())
+            self.mem_start.append(())
+            self.mem_end.append(())
         return op
 
     def add_dep(self, before: str, after: str) -> None:
         """Declare that ``after`` may only start once ``before`` completed."""
-        id_of = self._id_of
+        if self.sealed:
+            raise RuntimeError(
+                f"task graph is sealed; cannot add dependency {before!r} -> {after!r}"
+            )
+        id_of = self.id_of
         i = id_of.get(before)
         if i is None:
             raise KeyError(f"unknown op {before!r}")
         j = id_of.get(after)
         if j is None:
             raise KeyError(f"unknown op {after!r}")
-        self._succ[before].append(after)
-        self._pred_count[after] += 1
-        self._succ_ids[i].append(j)
-        self._pred_n[j] += 1
+        self.succ_ids[i].append(j)
+        self.indegree[j] += 1
 
     def __len__(self) -> int:
-        return len(self._ops)
+        return len(self._op_list)
 
     def __contains__(self, name: str) -> bool:
-        return name in self._ops
+        return name in self.id_of
 
     def op(self, name: str) -> Op:
-        return self._ops[name]
+        return self._op_list[self.id_of[name]]
 
     def ops(self) -> list[Op]:
-        return [self._ops[n] for n in self._order]
+        """The ops in id (submission) order — the graph's own list; read
+        it, don't modify it."""
+        return self._op_list
+
+    @property
+    def num_ops(self) -> int:
+        return len(self._op_list)
+
+    @property
+    def num_resources(self) -> int:
+        return len(self.resource_keys)
+
+    @functools.cached_property
+    def durations(self) -> np.ndarray:
+        """``duration_list`` as a float64 array (seals the graph)."""
+        self.sealed = True
+        return np.array(self.duration_list, dtype=np.float64)
+
+    @functools.cached_property
+    def res_incidence(self) -> tuple[np.ndarray, np.ndarray]:
+        """Flattened op×resource incidence: parallel (op id, resource slot)
+        arrays, op-major with each op's slots in declaration order — the
+        expansion batched analyses sort per scenario (seals the graph)."""
+        self.sealed = True
+        ops: list[int] = []
+        slots: list[int] = []
+        for i, rs in enumerate(self.res_slots):
+            if rs is None:
+                continue
+            if type(rs) is int:
+                ops.append(i)
+                slots.append(rs)
+            else:
+                ops.extend([i] * len(rs))
+                slots.extend(rs)
+        return (
+            np.array(ops, dtype=np.int64),
+            np.array(slots, dtype=np.int64),
+        )
+
+    @functools.cached_property
+    def pred_lists(self) -> list[list[int]]:
+        """Predecessors of each op, in predecessor-submission order (the
+        iteration order the critical-path walk in :mod:`repro.faults`
+        tie-breaks on; seals the graph)."""
+        self.sealed = True
+        preds: list[list[int]] = [[] for _ in range(len(self._op_list))]
+        for i, succs in enumerate(self.succ_ids):
+            for j in succs:
+                preds[j].append(i)
+        return preds
 
     def validate_acyclic(self) -> None:
         """Raise ``ValueError`` if the dependency graph has a cycle."""
-        indeg = list(self._pred_n)
+        indeg = list(self.indegree)
         queue = [i for i, d in enumerate(indeg) if not d]
         seen = 0
-        succ = self._succ_ids
+        succ = self.succ_ids
         while queue:
             n = queue.pop()
             seen += 1
@@ -232,7 +286,7 @@ class TaskGraph:
                 indeg[m] = c
                 if not c:
                     queue.append(m)
-        if seen != len(self._ops):
+        if seen != len(self._op_list):
             raise ValueError("task graph contains a dependency cycle")
 
 
@@ -273,7 +327,7 @@ class Simulator:
         self._graph = graph
         self.engine = engine
 
-    def run(self, validate: bool | None = None) -> SimulationResult:
+    def run(self, validate: bool = False) -> SimulationResult:
         """Simulate the graph; optionally conformance-check the outcome.
 
         ``validate=True`` runs the engine-agnostic invariants of
@@ -281,13 +335,7 @@ class Simulator:
         dependency order, resource exclusivity, duration fidelity, makespan
         lower bound) on the fresh result and raises
         :class:`~repro.check.invariants.ConformanceError` on any violation.
-        ``validate=None`` defers to the ``REPRO_SIM_VALIDATE`` environment
-        variable (off by default — the scan is a full trace pass).
         """
-        if validate is None:
-            validate = os.environ.get("REPRO_SIM_VALIDATE", "").lower() not in (
-                "", "0", "false",
-            )
         if not obs.enabled():
             result = self._run()
         else:
@@ -325,12 +373,12 @@ def _record_sim_metrics(graph: TaskGraph, result: SimulationResult) -> None:
     trace = result.trace
     makespan = result.makespan
     if makespan > 0:
-        for r in sorted(graph._res_keys, key=str):
+        for r in sorted(graph.resource_keys, key=str):
             obs.gauge("sim.occupancy", resource=str(r)).set_fn(
                 lambda r=r: trace.busy_time(r) / makespan
             )
     peaks = functools.cache(result.memory.peak_all)
-    for dev in sorted(graph._dev_keys, key=str):
+    for dev in sorted(graph.device_keys, key=str):
         obs.gauge("sim.memory_peak_bytes", device=str(dev)).set_fn(
             lambda d=dev: peaks().get(d, 0.0)
         )

@@ -2,8 +2,10 @@
 
 import pytest
 
+import repro.sim.compiled as compiled
 from repro.check import check_execution, check_simulation, verify_execution
 from repro.check.invariants import ConformanceError, Violation
+from repro.faults.inject import rebuild_with_durations
 from repro.sim.engine import SimulationResult, Simulator
 
 
@@ -66,26 +68,23 @@ class TestSimulatorValidate:
         result = Simulator(graph).run(validate=True)
         assert result.makespan > 0
 
-    def test_validate_catches_duration_tamper(self, tiny_executor):
-        # Post-add mutation is only seen by the reference engine; the
-        # compiled run's trace then contradicts the declared duration.
+    def test_validate_catches_duration_tamper(self, tiny_executor, monkeypatch):
+        # The event loop simulates a copy with one op seven times slower, so
+        # the trace contradicts the duration the graph itself declares.
         graph = tiny_executor.build_graph()
-        graph.op("F/s0/m0/r0").duration *= 7
+        durations = list(graph.duration_list)
+        durations[graph.id_of["F/s0/m0/r0"]] *= 7
+        tampered = rebuild_with_durations(graph, durations)
+        run_compiled = compiled.run_compiled
+        monkeypatch.setattr(
+            compiled, "run_compiled", lambda _graph: run_compiled(tampered)
+        )
         with pytest.raises(ConformanceError) as exc:
-            Simulator(graph, engine="compiled").run(validate=True)
+            Simulator(graph).run(validate=True)
         assert any(
             v.invariant == "duration-fidelity" and v.op == "F/s0/m0/r0"
             for v in exc.value.report.violations
         )
-
-    def test_env_var_enables_validation(self, tiny_executor, monkeypatch):
-        graph = tiny_executor.build_graph()
-        graph.op("B/s1/m1/r0").duration *= 3
-        monkeypatch.setenv("REPRO_SIM_VALIDATE", "1")
-        with pytest.raises(ConformanceError):
-            Simulator(graph, engine="compiled").run()
-        monkeypatch.setenv("REPRO_SIM_VALIDATE", "0")
-        Simulator(graph, engine="compiled").run()  # off: no scan, no raise
 
 
 class TestLowerBound:

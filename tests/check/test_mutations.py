@@ -3,8 +3,10 @@ with violations naming the offending op/stage/invariant (ISSUE 5
 acceptance: corrupted warm-up count, dropped dependency edge, tampered
 memory column)."""
 
+from dataclasses import replace
+
 from repro.check import check_execution
-from repro.sim.engine import Op, Simulator, TaskGraph
+from repro.sim.engine import MemEffect, Simulator, TaskGraph
 
 
 def _cap(executor) -> int:
@@ -16,26 +18,20 @@ def _clone_graph(graph, skip_edge=None, scale_mem_of=None, mem_factor=1.0):
     op's start-time memory delta."""
     g = TaskGraph()
     for op in graph.ops():
-        clone = Op(
-            op.name, op.duration, resources=op.resources,
-            priority=op.priority, tags=op.tags,
-        )
+        effects = list(op.mem_effects)
         if op.name == scale_mem_of:
-            from repro.sim.engine import MemEffect
-
-            clone.mem_effects = [
+            effects = [
                 MemEffect(e.device, e.delta * (1.0 if e.at_end else mem_factor),
                           at_end=e.at_end)
-                for e in op.mem_effects
+                for e in effects
             ]
-        else:
-            clone.mem_effects = list(op.mem_effects)
-        g.add(clone)
-    for name in graph._order:
-        for succ in graph._succ[name]:
-            if (name, succ) == skip_edge:
+        g.add(replace(op, mem_effects=effects))
+    names = [op.name for op in graph.ops()]
+    for i, succs in enumerate(graph.succ_ids):
+        for j in succs:
+            if (names[i], names[j]) == skip_edge:
                 continue
-            g.add_dep(name, succ)
+            g.add_dep(names[i], names[j])
     return g
 
 
@@ -122,17 +118,13 @@ class TestBrokenWeightSync:
         for op in graph.ops():
             if op.name == "allreduce/s1":
                 continue
-            clone = Op(op.name, op.duration, resources=op.resources,
-                       priority=op.priority, tags=op.tags)
-            clone.mem_effects = list(op.mem_effects)
-            g.add(clone)
-        for name in graph._order:
-            if name == "allreduce/s1":
-                continue
-            for succ in graph._succ[name]:
-                if succ == "allreduce/s1":
+            g.add(replace(op, mem_effects=list(op.mem_effects)))
+        names = [op.name for op in graph.ops()]
+        for i, succs in enumerate(graph.succ_ids):
+            for j in succs:
+                if "allreduce/s1" in (names[i], names[j]):
                     continue
-                g.add_dep(name, succ)
+                g.add_dep(names[i], names[j])
         report = _check(tiny_executor, g)
         assert not report.ok
         bad = [v for v in report.violations if v.invariant == "weight-sync"]

@@ -1,5 +1,6 @@
 """Differential oracles pass on healthy code and catch real divergence."""
 
+import repro.check.reference as reference
 from repro.check import (
     oracle_clean_faults,
     oracle_engines,
@@ -10,6 +11,7 @@ from repro.check import (
     oracle_served_plan,
     run_oracles,
 )
+from repro.faults.inject import rebuild_with_durations
 
 
 class TestOraclesPass:
@@ -56,13 +58,18 @@ class TestOraclesPass:
 
 
 class TestOraclesCatchDivergence:
-    def test_engine_divergence_is_caught(self, tiny_executor):
-        # Post-add duration mutation is the one asymmetry between engines:
-        # the reference loop reads the live Op, the compiled loop reads the
-        # column snapshot.  A graph mutated this way makes them disagree —
-        # exactly what the oracle exists to detect.
+    def test_engine_divergence_is_caught(self, tiny_executor, monkeypatch):
+        # The reference side simulates a copy of the graph with one op five
+        # times slower; the compiled side runs the graph itself.  The
+        # engines then disagree — exactly what the oracle exists to detect.
         graph = tiny_executor.build_graph()
-        graph.op("F/s0/m1/r0").duration *= 5
+        durations = list(graph.duration_list)
+        durations[graph.id_of["F/s0/m1/r0"]] *= 5
+        tampered = rebuild_with_durations(graph, durations)
+        run_reference = reference.run_reference
+        monkeypatch.setattr(
+            reference, "run_reference", lambda _graph: run_reference(tampered)
+        )
         report = oracle_engines(graph)
         assert not report.ok
         assert all(v.invariant == "oracle-engines" for v in report.violations)

@@ -44,9 +44,9 @@ class TestRebuildWithDurations:
     def test_structure_preserved(self):
         g = tiny_graph()
         g2 = rebuild_with_durations(g, [3.0, 2.0, 0.0])
-        assert g2._order == g._order
-        assert g2._succ == g._succ
         ops, ops2 = g.ops(), g2.ops()
+        assert [op.name for op in ops2] == [op.name for op in ops]
+        assert g2.succ_ids == g.succ_ids
         assert [op.duration for op in ops2] == [3.0, 2.0, 0.0]
         for op, op2 in zip(ops, ops2):
             assert op2.resources == op.resources

@@ -3,13 +3,20 @@
 import numpy as np
 import pytest
 
+from repro.cluster import config_b
+from repro.core import profile_model
+from repro.core.plan import ParallelPlan, Stage
 from repro.faults.models import (
     COMM_KINDS,
     ComputeJitter,
     DegradedLink,
     SlowDevice,
     TransientFailure,
+    perturb_durations,
 )
+from repro.models import uniform_model
+from repro.runtime.executor import PipelineExecutor
+from repro.schedules import COMPUTE_KINDS
 from repro.sim import Op
 
 
@@ -81,6 +88,35 @@ class TestComputeJitter:
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             ComputeJitter(**kwargs)
+
+    def test_default_kinds_are_the_schedule_compute_kinds(self):
+        assert ComputeJitter().kinds == COMPUTE_KINDS
+        hash(ComputeJitter().kinds)  # the graph index caches by kinds
+
+    def test_split_backwards_are_jittered(self):
+        # ZB-2BP splits each backward into BI and BW ops; the default jitter
+        # must perturb them like forwards, in the scalar and batched paths.
+        model = uniform_model("zb", 6, 9e9, 1_000_000, 1e6, profile_batch=2)
+        cluster = config_b(2)
+        d = cluster.devices
+        plan = ParallelPlan(
+            model, [Stage(0, 3, (d[0],)), Stage(3, 6, (d[1],))], 16, 4
+        )
+        graph = PipelineExecutor(
+            profile_model(model), cluster, plan, schedule="zb2bp"
+        ).build_graph()
+        ops = graph.ops()
+        jitter = ComputeJitter(sigma=0.2)
+        scalar = jitter.perturb(ops, durations(ops), np.random.default_rng(0))
+        (batched,) = perturb_durations(graph, (jitter,), [0])
+        for out in (scalar, batched.tolist()):
+            changed = [
+                op.tags["kind"] for op, before, after
+                in zip(ops, durations(ops), out) if after != before
+            ]
+            counts = {k: changed.count(k) for k in set(changed)}
+            # 2 stages x 4 micro-batches of each compute kind.
+            assert counts == {"F": 8, "BI": 8, "BW": 8}
 
 
 class TestSlowDevice:

@@ -42,9 +42,8 @@ from tests.sim.test_compiled_equivalence import assert_identical, random_graph
 def rebuild_with_durations(seed, n, num_resources, row):
     """The same random DAG, rebuilt so op ``i`` has duration ``row[i]``.
 
-    Durations must be set before :meth:`TaskGraph.add` (the indexed columns
-    snapshot op metadata at add time), so this re-adds fresh Ops rather
-    than mutating the originals.
+    Ops are frozen (the graph reads each one once, at :meth:`TaskGraph.add`),
+    so this re-adds fresh Ops.
     """
     g = random_graph(seed, n, num_resources)
     g2 = TaskGraph()
@@ -57,9 +56,10 @@ def rebuild_with_durations(seed, n, num_resources, row):
         )
         op2.mem_effects.extend(op.mem_effects)
         g2.add(op2)
-    for name, succs in g._succ.items():
-        for after in succs:
-            g2.add_dep(name, after)
+    names = [op.name for op in g.ops()]
+    for i, succs in enumerate(g.succ_ids):
+        for j in succs:
+            g2.add_dep(names[i], names[j])
     return g2
 
 
@@ -235,10 +235,10 @@ class TestScenarioTraceAnalysis:
         view = batch.view(1)
         trace = self._reference(batch, 1)
         for slot, key in enumerate(cg.resource_keys):
-            names = [cg.ops[int(i)].name for i in view.resource_sequence(slot)]
+            names = [cg.ops()[int(i)].name for i in view.resource_sequence(slot)]
             assert names == [e.name for e in trace.by_resource(key)]
             index = view.resource_index(slot)
-            assert [cg.ops[i].name for i in sorted(index, key=index.get)] == names
+            assert [cg.ops()[i].name for i in sorted(index, key=index.get)] == names
 
 
 class TestValidation:

@@ -1,8 +1,10 @@
 """Unit tests for the discrete-event simulation engine."""
 
+from dataclasses import FrozenInstanceError
+
 import pytest
 
-from repro.sim import Op, Simulator, TaskGraph
+from repro.sim import Op, Simulator, TaskGraph, compile_graph
 from repro.sim.engine import MemEffect
 
 
@@ -43,6 +45,34 @@ class TestTaskGraph:
         with pytest.raises(ValueError, match="more than once"):
             Op("a", 1.0, ("gpu:0", "gpu:0"))
         assert Op("b", 1.0, ("gpu:0", "gpu:1")).resources == ("gpu:0", "gpu:1")
+
+    @pytest.mark.parametrize("field, value", [
+        ("duration", 5.0), ("priority", 1.0), ("resources", ("gpu:1",)),
+        ("mem_effects", []),
+    ])
+    def test_op_fields_are_frozen(self, field, value):
+        op = Op("a", 1.0, ("gpu:0",), mem_effects=[MemEffect("gpu:0", 8.0)])
+        with pytest.raises(FrozenInstanceError):
+            setattr(op, field, value)
+
+    def test_compile_graph_returns_the_graph(self):
+        g = build([Op("a", 1.0)], [])
+        assert compile_graph(g) is g
+
+    def test_compiled_graph_rejects_ops_and_deps(self):
+        g = build([Op("a", 1.0), Op("b", 1.0)], [])
+        compile_graph(g)
+        with pytest.raises(RuntimeError, match="sealed"):
+            g.add(Op("c", 1.0))
+        with pytest.raises(RuntimeError, match="sealed"):
+            g.add_dep("a", "b")
+        assert len(g) == 2 and g.indegree == [0, 0]
+
+    def test_simulating_seals_the_graph(self):
+        g = build([Op("a", 1.0)], [])
+        Simulator(g).run()
+        with pytest.raises(RuntimeError, match="sealed"):
+            g.add(Op("b", 1.0))
 
     def test_cycle_detected(self):
         # Validation is lazy: the cycle surfaces when the graph is run.
