@@ -58,7 +58,7 @@ from repro.core import Planner, PlannerConfig, profile_model
 from repro.core.plancache import configure_default, default_cache
 from repro.core.planner import plan_best
 from repro.core.serialization import load_plan, save_plan
-from repro.models import PAPER_FIGURES, get_model, model_names
+from repro.models import PAPER_FIGURES, get_model, model_names, paper_gbs
 from repro.runtime import execute_plan
 from repro.runtime.memory import OutOfMemoryError
 
@@ -132,10 +132,7 @@ def _add_obs(p: argparse.ArgumentParser) -> None:
 def _setup(args):
     model = get_model(args.model)
     cluster = config_by_name(args.config, args.devices)
-    gbs = args.gbs
-    if gbs is None:
-        key = args.model.strip().lower()
-        gbs = PAPER_FIGURES[key].global_batch_size if key in PAPER_FIGURES else 64
+    gbs = args.gbs if args.gbs is not None else paper_gbs(args.model)
     return model, cluster, gbs, profile_model(model)
 
 
@@ -354,7 +351,6 @@ def _fault_models_from_args(args):
 def cmd_faults(args) -> int:
     """``repro faults``: robustness of DAPPLE vs GPipe vs DP on one model."""
     from repro.baselines import gpipe_plan
-    from repro.core.plan import single_stage_plan
     from repro.experiments.reporting import format_table
     from repro.faults import run_ensemble, robust_plan
 
@@ -397,12 +393,8 @@ def cmd_faults(args) -> int:
         measure("GPipe", gpipe_plan(prof, cluster, gbs), "gpipe")
     except ValueError as e:
         rows.append(["GPipe", "-", f"n/a ({e})", "-", "-", "-", "-"])
-    planner = Planner(prof, cluster, gbs)
-    m = max(1, gbs // (prof.graph.profile_batch * cluster.num_devices))
-    while gbs % m:
-        m -= 1
-    dp = single_stage_plan(prof.graph, cluster.devices, gbs, m)
-    if planner.plan_fits_memory(dp):
+    dp = Planner(prof, cluster, gbs).dp_plan()
+    if dp is not None:
         measure("DP", dp, "dapple")
     else:
         rows.append(["DP", "DP", "OOM", "-", "-", "-", "-"])
@@ -453,16 +445,11 @@ def _check_arms(prof, cluster, gbs):
     Mirrors ``repro faults``: the planner's DAPPLE plan, the same plan under
     a GPipe flush schedule, and pure data parallelism.
     """
-    from repro.core.plan import single_stage_plan
-
     planner = Planner(prof, cluster, gbs)
     plan = planner.search().plan
     arms = [("DAPPLE", plan, "dapple"), ("GPipe", plan, "gpipe")]
-    m = max(1, gbs // (prof.graph.profile_batch * cluster.num_devices))
-    while gbs % m:
-        m -= 1
-    dp = single_stage_plan(prof.graph, cluster.devices, gbs, m)
-    if planner.plan_fits_memory(dp):
+    dp = planner.dp_plan()
+    if dp is not None:
         arms.append(("DP", dp, "dapple"))
     return arms
 
@@ -539,10 +526,7 @@ def cmd_check(args) -> int:
         for name in names:
             model = get_model(name)
             cluster = config_by_name(args.config, args.devices)
-            gbs = args.gbs
-            if gbs is None:
-                ref = PAPER_FIGURES.get(name.strip().lower())
-                gbs = ref.global_batch_size if ref else 64
+            gbs = args.gbs if args.gbs is not None else paper_gbs(name)
             prof = profile_model(model)
             if args.schedule:
                 try:

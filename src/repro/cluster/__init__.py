@@ -22,8 +22,15 @@ from repro.cluster.configs import (
     ETHERNET_10G,
     NVLINK,
 )
-from repro.cluster.transfer import transfer_time, split_concat_overhead
+from repro.cluster.transfer import (
+    TransferCost,
+    transfer_cost,
+    transfer_time,
+    split_concat_overhead,
+)
 from repro.cluster.collectives import (
+    AllreduceCost,
+    allreduce_cost,
     allreduce_time,
     ring_allreduce_time,
     hierarchical_allreduce_time,
@@ -44,8 +51,12 @@ __all__ = [
     "ETHERNET_25G",
     "ETHERNET_10G",
     "NVLINK",
+    "TransferCost",
+    "transfer_cost",
     "transfer_time",
     "split_concat_overhead",
+    "AllreduceCost",
+    "allreduce_cost",
     "allreduce_time",
     "ring_allreduce_time",
     "hierarchical_allreduce_time",

@@ -15,14 +15,28 @@ an 8-way replica group *inside* one server AllReduces multi-GB gradients in
 tens of milliseconds, while the same group spread over servers would take
 seconds over 25 GbE — exactly the asymmetry the paper's Fig. 2 placement
 exploits.
+
+Both schemes depend on the group only through its size, its per-machine
+device counts and the link specs; :func:`allreduce_cost` reduces a group
+to that :class:`AllreduceCost` record, which the scalar functions, the
+latency model and the planner's vectorized kernel all evaluate.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from repro.cluster.device import Device
-from repro.cluster.topology import Cluster, LinkSpec
+from repro.cluster.topology import Cluster, LinkSpec, machine_counts
+
+
+def _ring(nbytes, n: int, link: LinkSpec):
+    """Ring AllReduce of ``nbytes`` (float or ndarray) across ``n ≥ 2`` peers."""
+    volume = 2.0 * (n - 1) / n * nbytes
+    return volume / link.bandwidth + 2.0 * (n - 1) * link.latency
 
 
 def ring_allreduce_time(nbytes: float, n: int, link: LinkSpec) -> float:
@@ -35,8 +49,71 @@ def ring_allreduce_time(nbytes: float, n: int, link: LinkSpec) -> float:
         raise ValueError(f"allreduce needs n>=1, got {n}")
     if n == 1 or nbytes <= 0:
         return 0.0
-    volume = 2.0 * (n - 1) / n * nbytes
-    return volume / link.bandwidth + 2.0 * (n - 1) * link.latency
+    return _ring(nbytes, n, link)
+
+
+@dataclass(frozen=True)
+class AllreduceCost:
+    """Everything the AllReduce models need of one device group.
+
+    ``intra`` is the internal link of the group's first machine; records
+    compare and hash by value.
+    """
+
+    n: int
+    n_machines: int
+    max_local: int  # most devices the group holds on one machine
+    intra: LinkSpec
+    inter: LinkSpec
+
+    def time(self, nbytes):
+        """Best-scheme AllReduce time (a float, or elementwise on an ndarray).
+
+        A single-machine group runs an NVLink ring; a multi-machine group
+        takes the cheaper of a flat ring over Ethernet and the hierarchical
+        scheme (NCCL-style auto-selection).
+        """
+        if isinstance(nbytes, np.ndarray):
+            return np.where(nbytes > 0, self._time(nbytes, np.minimum), 0.0)
+        return 0.0 if nbytes <= 0 else self._time(nbytes, min)
+
+    def hierarchical(self, nbytes):
+        """NVLink reduce → Ethernet ring over machine leaders → NVLink bcast."""
+        if isinstance(nbytes, np.ndarray):
+            return np.where(nbytes > 0, self._hier(nbytes), 0.0)
+        return 0.0 if nbytes <= 0 else self._hier(nbytes)
+
+    def _time(self, nbytes, minimum):
+        if self.n <= 1:
+            return 0.0
+        if self.n_machines == 1:
+            return _ring(nbytes, self.n, self.intra)
+        return minimum(_ring(nbytes, self.n, self.inter), self._hier(nbytes))
+
+    def _hier(self, nbytes):
+        t = 0.0
+        if self.max_local > 1:
+            # reduce-scatter + later all-gather inside machines ≈ one full
+            # intra ring pass split into two halves around the inter phase.
+            t += _ring(nbytes, self.max_local, self.intra)
+        if self.n_machines > 1:
+            t += _ring(nbytes, self.n_machines, self.inter)
+        return t
+
+
+def allreduce_cost(cluster: Cluster, devs: Sequence[Device]) -> AllreduceCost:
+    """Reduce a device group to its :class:`AllreduceCost` in one pass."""
+    if not devs:
+        raise ValueError("allreduce needs at least one device")
+    per_machine = machine_counts(devs)
+    m = cluster.machines[devs[0].machine_id]
+    return AllreduceCost(
+        n=len(devs),
+        n_machines=len(per_machine),
+        max_local=max(per_machine.values()),
+        intra=LinkSpec("intra", m.intra_bw, m.intra_lat),
+        inter=cluster.inter,
+    )
 
 
 def hierarchical_allreduce_time(nbytes: float, cluster: Cluster, devs: Sequence[Device]) -> float:
@@ -47,45 +124,17 @@ def hierarchical_allreduce_time(nbytes: float, cluster: Cluster, devs: Sequence[
     on one machine is a pure intra ring; one GPU per machine is a pure inter
     ring.
     """
-    devs = list(devs)
-    per_machine: dict[int, int] = {}
-    for d in devs:
-        per_machine[d.machine_id] = per_machine.get(d.machine_id, 0) + 1
-    n_machines = len(per_machine)
-    max_local = max(per_machine.values())
-
-    intra_link = LinkSpec(
-        "intra",
-        cluster.machines[devs[0].machine_id].intra_bw,
-        cluster.machines[devs[0].machine_id].intra_lat,
-    )
-    t = 0.0
-    if max_local > 1:
-        # reduce-scatter + later all-gather inside machines ≈ one full intra
-        # ring pass split into two halves around the inter phase.
-        t += ring_allreduce_time(nbytes, max_local, intra_link)
-    if n_machines > 1:
-        t += ring_allreduce_time(nbytes, n_machines, cluster.inter)
-    return t
+    return allreduce_cost(cluster, devs).hierarchical(nbytes)
 
 
 def allreduce_time(nbytes: float, cluster: Cluster, devs: Sequence[Device]) -> float:
     """AllReduce time for ``nbytes`` across ``devs``, picking the best scheme.
 
-    For single-machine groups this is an NVLink ring; for multi-machine
-    groups we take the cheaper of a flat ring over the bottleneck link and
-    the hierarchical scheme (NCCL-style auto-selection).
+    See :meth:`AllreduceCost.time`.
     """
-    devs = list(devs)
-    n = len(devs)
-    if n <= 1 or nbytes <= 0:
+    if len(devs) <= 1 or nbytes <= 0:
         return 0.0
-    if not cluster.spans_machines(devs):
-        m = cluster.machines[devs[0].machine_id]
-        return ring_allreduce_time(nbytes, n, LinkSpec("intra", m.intra_bw, m.intra_lat))
-    flat = ring_allreduce_time(nbytes, n, cluster.inter)
-    hier = hierarchical_allreduce_time(nbytes, cluster, devs)
-    return min(flat, hier)
+    return allreduce_cost(cluster, devs).time(nbytes)
 
 
 def broadcast_time(nbytes: float, cluster: Cluster, devs: Sequence[Device]) -> float:

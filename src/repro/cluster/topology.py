@@ -36,6 +36,18 @@ class LinkSpec:
         return self.latency + nbytes / self.bandwidth
 
 
+def machine_counts(devices: Iterable[Device]) -> dict[int, int]:
+    """Devices per machine id, in order of each machine's first device.
+
+    Under the even-slicing, one-NIC-per-machine model these counts are all
+    the transfer and AllReduce costs read of a group.
+    """
+    counts: dict[int, int] = {}
+    for d in devices:
+        counts[d.machine_id] = counts.get(d.machine_id, 0) + 1
+    return counts
+
+
 class Cluster:
     """A set of homogeneous machines joined by a flat inter-server network."""
 

@@ -33,10 +33,10 @@ import numpy as np
 import repro.obs as obs
 
 from repro.cluster.topology import Cluster
-from repro.core.fast_scan import shared_scanner
+from repro.core.fast_scan import CompletionScanner
 from repro.core.latency import PlanEstimate, evaluate_plan
 from repro.core.placement import allocate
-from repro.core.plan import ParallelPlan, Stage
+from repro.core.plan import ParallelPlan, Stage, single_stage_plan
 from repro.core.profiler import ModelProfile
 from repro.models.graph import GRAD_BYTES_PER_PARAM, FP32
 
@@ -165,6 +165,7 @@ class Planner:
         self._rows_cache: dict[tuple, tuple] = {}
         self._free_cache: dict[tuple, tuple] = {}
         self._sig_cache: dict[tuple, tuple] = {}
+        self._scanner = CompletionScanner(profile, cluster)
 
     # ------------------------------------------------------------------ #
     # Plan completion & evaluation
@@ -237,6 +238,18 @@ class Planner:
             global_batch_size=self.gbs,
             num_micro_batches=m,
         )
+
+    def dp_plan(self) -> ParallelPlan | None:
+        """Pure data parallelism, or ``None`` when it does not fit in memory.
+
+        The whole model on every device, with gradient accumulation over
+        per-device micro-batches (``M = GBS / (b·G)``, as in
+        :meth:`_num_micro_batches`).
+        """
+        devices = self.cluster.devices
+        m = _largest_divisor_leq(self.gbs, max(1, self.gbs // (self._mbs_dev * len(devices))))
+        plan = single_stage_plan(self.profile.graph, devices, self.gbs, m)
+        return plan if self.plan_fits_memory(plan) else None
 
     def plan_fits_memory(self, plan: ParallelPlan) -> bool:
         """Conservative per-device peak-memory feasibility check.
@@ -534,7 +547,7 @@ class Planner:
             level.append((state.j, state.stages, groups, tails, row_key))
         if not specs:
             return
-        res = shared_scanner(self.profile, self.cluster).scan_level(
+        res = self._scanner.scan_level(
             level,
             global_batch_size=self.gbs,
             num_micro_batches=self._m_multi,

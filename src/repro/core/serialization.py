@@ -212,7 +212,7 @@ def graph_from_dict(data: dict[str, Any]) -> LayerGraph:
             optimizer=data.get("optimizer", "adam"),
             fixed_overhead_fwd=float(data.get("fixed_overhead_fwd", 20e-6)),
         )
-    except (KeyError, TypeError) as e:
+    except (KeyError, TypeError, OverflowError) as e:
         raise ValueError(f"malformed layer-graph payload: {e}") from e
 
 
@@ -227,7 +227,7 @@ def gpu_spec_from_dict(data: dict[str, Any]) -> GPUSpec:
             memory_bytes=int(data["memory_bytes"]),
             flops=float(data["flops"]),
         )
-    except (KeyError, TypeError) as e:
+    except (KeyError, TypeError, OverflowError) as e:
         raise ValueError(f"malformed GPU-spec payload: {e}") from e
 
 
@@ -274,5 +274,5 @@ def cluster_from_dict(data: dict[str, Any]) -> Cluster:
             for i, m in enumerate(data["machines"])
         ]
         return Cluster(machines, inter, name=str(data.get("name", "custom")))
-    except (KeyError, TypeError) as e:
+    except (KeyError, TypeError, OverflowError) as e:
         raise ValueError(f"malformed cluster payload: {e}") from e

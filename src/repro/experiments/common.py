@@ -117,15 +117,9 @@ def speedup_arms(model_name: str, clu: Cluster, gbs: int) -> dict[str, float]:
         try:
             res = dp_iteration_time(prof, clu, clu.devices, gbs, overlap=overlap)
             # DP is infeasible when one device cannot hold the whole model.
-            from repro.core.plan import single_stage_plan
             from repro.core.planner import Planner as _P
 
-            planner = _P(prof, clu, gbs)
-            m = max(1, gbs // (prof.graph.profile_batch * clu.num_devices))
-            while gbs % m:
-                m -= 1
-            dp_plan = single_stage_plan(prof.graph, clu.devices, gbs, m)
-            if not planner.plan_fits_memory(dp_plan):
+            if _P(prof, clu, gbs).dp_plan() is None:
                 arms[name] = float("nan")
             else:
                 arms[name] = t_single / res.iteration_time

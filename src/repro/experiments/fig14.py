@@ -68,13 +68,7 @@ def point(model: str, gbs: int, num_gpus: int) -> Fig14Point:
     planner = Planner(prof, clu, gbs)
 
     def dp_speedup(overlap: bool) -> float:
-        from repro.core.plan import single_stage_plan
-
-        m = max(1, gbs // (prof.graph.profile_batch * num_gpus))
-        while gbs % m:
-            m -= 1
-        plan = single_stage_plan(prof.graph, clu.devices, gbs, m)
-        if not planner.plan_fits_memory(plan):
+        if planner.dp_plan() is None:
             return float("nan")
         res = dp_iteration_time(prof, clu, clu.devices, gbs, overlap=overlap)
         return t_single / res.iteration_time

@@ -22,7 +22,7 @@ from repro.cluster import config_by_name
 from repro.core.plan import interleaved_straight_plan
 from repro.core.profiler import profile_model
 from repro.experiments.reporting import format_table
-from repro.models import PAPER_FIGURES, get_model
+from repro.models import get_model, paper_gbs
 from repro.runtime import execute_plan
 from repro.runtime.memory import OutOfMemoryError
 
@@ -72,8 +72,7 @@ def point(
     cluster = config_by_name(config, devices)
     prof = profile_model(model)
     if gbs is None:
-        ref = PAPER_FIGURES.get(model_name.strip().lower())
-        gbs = ref.global_batch_size if ref else 64
+        gbs = paper_gbs(model_name)
     m = devices * max(1, gbs // (model.profile_batch * devices))
     if schedule.startswith("interleaved"):
         plan = interleaved_straight_plan(

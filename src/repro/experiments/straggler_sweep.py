@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 from repro.baselines import gpipe_plan
-from repro.core.plan import single_stage_plan
 from repro.core.planner import Planner
 from repro.experiments.common import best_plan, cluster, profile
 from repro.experiments.reporting import format_table
@@ -119,12 +118,8 @@ def point(
         measure("GPipe", gpipe_plan(prof, clu, gbs), "gpipe")
     except ValueError:
         pass
-    planner = Planner(prof, clu, gbs)
-    m = max(1, gbs // (prof.graph.profile_batch * clu.num_devices))
-    while gbs % m:
-        m -= 1
-    dp = single_stage_plan(prof.graph, clu.devices, gbs, m)
-    if planner.plan_fits_memory(dp):
+    dp = Planner(prof, clu, gbs).dp_plan()
+    if dp is not None:
         measure("DP", dp, "dapple")
     else:
         systems.append(SystemRobustness("DP", "DP", math.nan, math.nan))

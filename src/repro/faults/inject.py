@@ -46,7 +46,7 @@ def rebuild_with_durations(graph: TaskGraph, durations: Sequence[float]) -> Task
             raise ValueError(
                 f"perturbed duration for op {op.name!r} is negative ({dur})"
             )
-        g.add(replace(op, duration=dur, mem_effects=list(op.mem_effects)))
+        g.add(replace(op, duration=dur))
         names.append(op.name)
     for i, succs in enumerate(graph.succ_ids):
         for j in succs:

@@ -21,6 +21,7 @@ from repro.models.zoo import (
     PaperFigures,
     get_model,
     model_names,
+    paper_gbs,
 )
 
 __all__ = [
@@ -49,4 +50,5 @@ __all__ = [
     "PaperFigures",
     "get_model",
     "model_names",
+    "paper_gbs",
 ]

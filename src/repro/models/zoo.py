@@ -114,3 +114,9 @@ def get_model(name: str) -> LayerGraph:
     if key not in _BUILDERS:
         raise KeyError(f"unknown model {name!r}; available: {model_names()}")
     return _BUILDERS[key]()
+
+
+def paper_gbs(name: str) -> int:
+    """The paper's global batch size for zoo model ``name``, or 64 if none."""
+    ref = PAPER_FIGURES.get(name.strip().lower())
+    return ref.global_batch_size if ref else 64

@@ -44,7 +44,7 @@ from repro.core.serialization import (
     graph_from_dict,
     planner_config_from_dict,
 )
-from repro.models import PAPER_FIGURES, get_model, model_names
+from repro.models import get_model, model_names, paper_gbs
 
 SCHEMA = "plan-request-v1"
 
@@ -55,8 +55,30 @@ _ALLOWED_KEYS = {
 }
 
 
+#: Most GPUs a request may name (``devices``, or the inline cluster's
+#: total).  Building a cluster costs time and memory linear in its size, so
+#: the bound is checked before anything is built.
+MAX_GPUS = 1024
+
+
 class RequestError(ValueError):
     """Malformed or unresolvable plan request (HTTP 400)."""
+
+
+def _inline_gpus(cluster: dict[str, Any]) -> int:
+    """GPUs an inline cluster payload would build, counting what it can.
+
+    Malformed entries count zero here; :func:`cluster_from_dict` rejects
+    them afterwards with its own message.
+    """
+    machines = cluster.get("machines")
+    total = 0
+    for m in machines if isinstance(machines, list) else ():
+        try:
+            total += max(0, int(m["num_gpus"]))
+        except (KeyError, TypeError, ValueError, OverflowError):
+            continue
+    return total
 
 
 @dataclass
@@ -101,6 +123,12 @@ class PlanRequest:
 
     def resolve(self):
         """Build ``(profile, cluster, gbs, planner_config)`` or raise 400."""
+        gpus = self.devices if self.cluster is None else _inline_gpus(self.cluster)
+        if gpus > MAX_GPUS:
+            what = "'devices'" if self.cluster is None else "inline 'cluster'"
+            raise RequestError(
+                f"{what} names {gpus} GPUs; a request may name at most {MAX_GPUS}"
+            )
         try:
             if self.graph is not None:
                 graph = graph_from_dict(self.graph)
@@ -114,10 +142,7 @@ class PlanRequest:
         except (ValueError, KeyError) as e:
             msg = e.args[0] if e.args else e
             raise RequestError(str(msg)) from e
-        gbs = self.gbs
-        if gbs is None:
-            key = (self.model or graph.name).strip().lower()
-            gbs = PAPER_FIGURES[key].global_batch_size if key in PAPER_FIGURES else 64
+        gbs = self.gbs if self.gbs is not None else paper_gbs(self.model or graph.name)
         if gbs < 1:
             raise RequestError(f"global batch size must be >= 1, got {gbs}")
         return profile_model(graph), cluster, int(gbs), cfg

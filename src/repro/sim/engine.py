@@ -78,14 +78,12 @@ class Op:
         Free-form metadata copied into the trace (stage id, micro-batch id,
         op kind) for post-run assertions and Gantt rendering.
     mem_effects:
-        :class:`MemEffect` list applied when the op starts or ends.
+        :class:`MemEffect` tuple applied when the op starts or ends (any
+        iterable is accepted and stored as a tuple).
 
-    Ops are frozen: :meth:`TaskGraph.add` reads an op once into the
-    graph's columns, so a field reassigned afterwards would let the op and
-    its columns disagree.  ``mem_effects`` is still a plain list: pass it to
-    the constructor or append to it before adding the op.  Appending after
-    :meth:`TaskGraph.add` is unsupported and is not caught — the reference
-    loop would see the new effect, the event loop would not.
+    Ops are frozen, ``mem_effects`` included: :meth:`TaskGraph.add` reads
+    an op once into the graph's columns, and nothing can change the op
+    afterwards, so the op and its columns cannot disagree.
     """
 
     name: str
@@ -93,7 +91,7 @@ class Op:
     resources: tuple = ()
     priority: float = 0.0
     tags: dict = field(default_factory=dict)
-    mem_effects: list = field(default_factory=list)
+    mem_effects: tuple = ()
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.duration < math.inf:
@@ -107,6 +105,8 @@ class Op:
             raise ValueError(
                 f"op {self.name!r} names a resource more than once: {resources}"
             )
+        if type(self.mem_effects) is not tuple:
+            object.__setattr__(self, "mem_effects", tuple(self.mem_effects))
 
 
 class TaskGraph:

@@ -30,9 +30,8 @@ def small_setup():
 
 def tiny_graph():
     g = TaskGraph()
-    a = Op("a", 1.0, resources=("r0",), priority=1.0, tags={"kind": "F"})
-    a.mem_effects.append(MemEffect("dev:0", 64.0))
-    g.add(a)
+    g.add(Op("a", 1.0, resources=("r0",), priority=1.0, tags={"kind": "F"},
+             mem_effects=[MemEffect("dev:0", 64.0)]))
     g.add(Op("b", 2.0, resources=("r0", "r1"), tags={"kind": "send"}))
     g.add(Op("c", 0.0))
     g.add_dep("a", "b")

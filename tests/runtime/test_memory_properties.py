@@ -86,24 +86,19 @@ def _single_stage_graph(sm: StageMemory, tasks):
     idiom: activations live from F-start to B-end, transient spans B."""
     dev = "gpu:0"
     g = TaskGraph()
-    init = Op("init", 0.0)
-    init.mem_effects.append(MemEffect(dev, sm.persistent_bytes))
-    g.add(init)
+    g.add(Op("init", 0.0, mem_effects=[MemEffect(dev, sm.persistent_bytes)]))
     prev = "init"
     for t in tasks:
         name = f"{t.kind}/m{t.micro_batch}"
-        op = Op(name, 1.0, resources=(dev,))
         if t.kind == "F":
-            op.mem_effects.append(MemEffect(dev, sm.per_microbatch_bytes))
+            effects = [MemEffect(dev, sm.per_microbatch_bytes)]
         else:
+            effects = []
             tr = sm.transient_backward_bytes
             if tr > 0:
-                op.mem_effects.append(MemEffect(dev, tr))
-                op.mem_effects.append(MemEffect(dev, -tr, at_end=True))
-            op.mem_effects.append(
-                MemEffect(dev, -sm.per_microbatch_bytes, at_end=True)
-            )
-        g.add(op)
+                effects += [MemEffect(dev, tr), MemEffect(dev, -tr, at_end=True)]
+            effects.append(MemEffect(dev, -sm.per_microbatch_bytes, at_end=True))
+        g.add(Op(name, 1.0, resources=(dev,), mem_effects=effects))
         g.add_dep(prev, name)
         prev = name
     return g, dev

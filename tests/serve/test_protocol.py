@@ -165,3 +165,41 @@ class TestDecodePlanRequest:
         # Config A packs 8 GPUs/server; 12 devices is rejected at decode time.
         with pytest.raises(RequestError, match="multiple of 8"):
             decode_plan_request({"model": "vgg19", "config": "A", "devices": 12})
+
+
+class TestClusterSizeBound:
+    """Requests naming more than MAX_GPUS GPUs are refused before any
+    cluster object is built (building costs time and memory per GPU)."""
+
+    @pytest.fixture
+    def no_builds(self, monkeypatch):
+        import repro.serve.protocol as protocol
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("a cluster was built for an oversized request")
+
+        monkeypatch.setattr(protocol, "config_by_name", refuse)
+        monkeypatch.setattr(protocol, "cluster_from_dict", refuse)
+
+    def test_devices_over_bound_rejected_before_build(self, no_builds):
+        from repro.serve.protocol import MAX_GPUS
+
+        assert MAX_GPUS == 1024
+        with pytest.raises(RequestError, match="at most 1024"):
+            decode_plan_request({"model": "bert48", "config": "B", "devices": 10**8})
+
+    def test_inline_cluster_over_bound_rejected_before_build(self, no_builds):
+        body = cluster_to_dict(config_a(2))
+        body["machines"][0]["num_gpus"] = 10**8
+        with pytest.raises(RequestError, match="at most 1024"):
+            decode_plan_request({"model": "bert48", "cluster": body})
+
+    def test_bound_itself_is_accepted(self):
+        req = decode_plan_request({"model": "bert48", "config": "B", "devices": 1024})
+        assert req.resolve()[1].num_devices == 1024
+
+    def test_non_finite_gpu_count_is_a_400(self):
+        body = cluster_to_dict(config_a(1))
+        body["machines"][0]["num_gpus"] = float("inf")
+        with pytest.raises(RequestError, match="malformed cluster payload"):
+            decode_plan_request({"model": "bert48", "cluster": body})

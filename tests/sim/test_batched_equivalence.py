@@ -48,14 +48,13 @@ def rebuild_with_durations(seed, n, num_resources, row):
     g = random_graph(seed, n, num_resources)
     g2 = TaskGraph()
     for i, op in enumerate(g.ops()):
-        op2 = Op(
+        g2.add(Op(
             op.name,
             float(row[i]),
             resources=op.resources,
             priority=op.priority,
-        )
-        op2.mem_effects.extend(op.mem_effects)
-        g2.add(op2)
+            mem_effects=op.mem_effects,
+        ))
     names = [op.name for op in g.ops()]
     for i, succs in enumerate(g.succ_ids):
         for j in succs:

@@ -49,21 +49,18 @@ def random_graph(seed: int, n: int, num_resources: int, num_devices: int = 3):
     for i in range(n):
         duration = rng.choice([0.0, 0.0, 0.25, 0.5, 1.0, 1.0, 2.0])
         nres = rng.choice([0, 1, 1, 2, 3])
-        op = Op(
-            f"op{i}",
-            duration,
-            resources=tuple(rng.sample(keys, min(nres, len(keys)))),
-            priority=float(rng.choice([0, 0, 1, 2])),
-        )
-        for _ in range(rng.choice([0, 0, 1, 2])):
-            op.mem_effects.append(
-                MemEffect(
-                    rng.choice(devices),
-                    rng.choice([64.0, -32.0, 128.0]),
-                    at_end=rng.random() < 0.5,
-                )
+        resources = tuple(rng.sample(keys, min(nres, len(keys))))
+        priority = float(rng.choice([0, 0, 1, 2]))
+        effects = [
+            MemEffect(
+                rng.choice(devices),
+                rng.choice([64.0, -32.0, 128.0]),
+                at_end=rng.random() < 0.5,
             )
-        g.add(op)
+            for _ in range(rng.choice([0, 0, 1, 2]))
+        ]
+        g.add(Op(f"op{i}", duration, resources=resources, priority=priority,
+                 mem_effects=effects))
     for i in range(n):
         for j in rng.sample(range(n), min(3, n)):
             if j > i and rng.random() < 0.6:

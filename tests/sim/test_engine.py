@@ -55,6 +55,13 @@ class TestTaskGraph:
         with pytest.raises(FrozenInstanceError):
             setattr(op, field, value)
 
+    def test_mem_effects_cannot_grow_after_construction(self):
+        op = Op("a", 1.0, ("gpu:0",), mem_effects=[MemEffect("gpu:0", 8.0)])
+        assert op.mem_effects == (MemEffect("gpu:0", 8.0),)
+        with pytest.raises(AttributeError):
+            op.mem_effects.append(MemEffect("gpu:0", -8.0, at_end=True))
+        assert Op("b", 1.0).mem_effects == ()
+
     def test_compile_graph_returns_the_graph(self):
         g = build([Op("a", 1.0)], [])
         assert compile_graph(g) is g
@@ -182,10 +189,10 @@ class TestDeterminism:
 
 class TestMemoryAccounting:
     def test_alloc_and_free(self):
-        op_a = Op("alloc", 1.0, resources=("gpu:0",))
-        op_a.mem_effects.append(MemEffect("gpu:0", 100.0))
-        op_b = Op("free", 1.0, resources=("gpu:0",))
-        op_b.mem_effects.append(MemEffect("gpu:0", -100.0, at_end=True))
+        op_a = Op("alloc", 1.0, resources=("gpu:0",),
+                  mem_effects=[MemEffect("gpu:0", 100.0)])
+        op_b = Op("free", 1.0, resources=("gpu:0",),
+                  mem_effects=[MemEffect("gpu:0", -100.0, at_end=True)])
         g = build([op_a, op_b], [("alloc", "free")])
         res = Simulator(g).run()
         assert res.memory.peak("gpu:0") == pytest.approx(100.0)
@@ -194,11 +201,11 @@ class TestMemoryAccounting:
     def test_free_before_alloc_at_same_time(self):
         # b frees at t=1 (end); c allocates at t=1 (start): peak must be 100,
         # not 200, because end-phase deltas apply first.
-        a = Op("a", 1.0, resources=("gpu:0",))
-        a.mem_effects.append(MemEffect("gpu:0", 100.0))
-        a.mem_effects.append(MemEffect("gpu:0", -100.0, at_end=True))
-        c = Op("c", 1.0, resources=("gpu:0",))
-        c.mem_effects.append(MemEffect("gpu:0", 100.0))
+        a = Op("a", 1.0, resources=("gpu:0",), mem_effects=[
+            MemEffect("gpu:0", 100.0), MemEffect("gpu:0", -100.0, at_end=True),
+        ])
+        c = Op("c", 1.0, resources=("gpu:0",),
+               mem_effects=[MemEffect("gpu:0", 100.0)])
         g = build([a, c], [("a", "c")])
         res = Simulator(g).run()
         assert res.memory.peak("gpu:0") == pytest.approx(100.0)
@@ -206,10 +213,9 @@ class TestMemoryAccounting:
     def test_concurrent_allocations_stack(self):
         ops = []
         for i in range(3):
-            op = Op(f"op{i}", 2.0, resources=(f"gpu:{i}",))
-            op.mem_effects.append(MemEffect("shared", 50.0))
-            op.mem_effects.append(MemEffect("shared", -50.0, at_end=True))
-            ops.append(op)
+            ops.append(Op(f"op{i}", 2.0, resources=(f"gpu:{i}",), mem_effects=[
+                MemEffect("shared", 50.0), MemEffect("shared", -50.0, at_end=True),
+            ]))
         res = Simulator(build(ops, [])).run()
         assert res.memory.peak("shared") == pytest.approx(150.0)
 
