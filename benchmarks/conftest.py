@@ -4,8 +4,9 @@ Run everything with::
 
     pytest benchmarks/ --benchmark-only
 
-Each benchmark reproduces one table or figure of the paper and writes the
-rendered result to ``results/<experiment>.txt``.  Heavy experiments are
+Each benchmark of a registered experiment runs it through
+``repro.experiments.run_experiment`` — the writer ``repro experiment``
+uses — so it writes the same ``results/<experiment>.txt``.  Heavy experiments are
 benchmarked pedantically (one round) — the artifact is the reproduced
 table, not a timing distribution.
 """

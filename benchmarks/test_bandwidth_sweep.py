@@ -1,12 +1,10 @@
 """Interconnect sweep: DP↔pipeline crossovers vs network speed."""
 
-from repro.experiments import bandwidth_sweep as bs
-from repro.experiments import write_result
+from repro.experiments import run_experiment
 
 
 def test_bandwidth_sweep(once):
-    points = once(bs.run)
-    write_result("ext_bandwidth_sweep", bs.format_results(points))
+    points = once(run_experiment, "bandwidth_sweep")
 
     def kinds(model):
         return {p.gbps: p.kind for p in points if p.model == model}

@@ -1,11 +1,10 @@
 """Convergence preservation: the paper's §VI-A equivalence claim."""
 
-from repro.experiments import convergence, write_result
+from repro.experiments import run_experiment
 
 
 def test_convergence_equivalence(once):
-    r = once(convergence.run)
-    write_result("convergence_equivalence", convergence.format_results(r))
+    r = once(run_experiment, "convergence")
     # All three training modes follow the *same* loss trajectory...
     for a, b, c in zip(r.losses_sequential, r.losses_pipeline, r.losses_dp):
         assert abs(a - b) < 1e-9

@@ -2,12 +2,11 @@
 
 import math
 
-from repro.experiments import fig12, write_result
+from repro.experiments import run_experiment
 
 
 def test_fig12_speedups(once):
-    points = once(fig12.run)
-    write_result("fig12_speedups", fig12.format_results(points))
+    points = once(run_experiment, "fig12")
 
     def pick(model, cfg, gbs):
         return next(

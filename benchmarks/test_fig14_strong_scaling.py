@@ -2,12 +2,11 @@
 
 import math
 
-from repro.experiments import fig14, write_result
+from repro.experiments import run_experiment
 
 
 def test_fig14_strong_scaling(once):
-    points = once(fig14.run)
-    write_result("fig14_strong_scaling", fig14.format_results(points))
+    points = once(run_experiment, "fig14")
 
     by_model: dict = {}
     for p in points:

@@ -2,12 +2,11 @@
 
 import pytest
 
-from repro.experiments import fig3, write_result
+from repro.experiments import fig3, run_experiment
 
 
 def test_fig3_schedules(once):
-    res = once(fig3.run)
-    write_result("fig3_schedules", fig3.format_results(res))
+    res = once(run_experiment, "fig3")
 
     # Same bubbles: identical makespans under the PB warm-up (paper §III-B
     # "DAPPLE introduces the exact same bubble time as GPipe").

@@ -2,12 +2,11 @@
 
 import pytest
 
-from repro.experiments import fig4, write_result
+from repro.experiments import run_experiment
 
 
 def test_fig4_phase_decomposition(once):
-    r = once(fig4.run)
-    write_result("fig4_phases", fig4.format_results(r))
+    r = once(run_experiment, "fig4")
     # The analytic eq. 1 decomposition tracks the simulated phases.
     assert r.analytic_total == pytest.approx(r.measured_total, rel=0.15)
     assert r.analytic_steady == pytest.approx(r.measured_steady, rel=0.15)

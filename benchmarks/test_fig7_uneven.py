@@ -1,11 +1,10 @@
 """Fig. 7: slightly uneven partitions beat the even split at small M."""
 
-from repro.experiments import fig7, write_result
+from repro.experiments import fig7, run_experiment
 
 
 def test_fig7_uneven_partitioning(once):
-    rows = once(fig7.run)
-    write_result("fig7_uneven", fig7.format_results(rows))
+    rows = once(run_experiment, "fig7")
     best = fig7.best_split(rows)
     even = min(rows, key=lambda r: abs(r.layers_stage0 - r.layers_stage1))
     # The winner is an uneven split, strictly faster than the even one.

@@ -1,11 +1,10 @@
 """Fig. 8: micro-batch splitting vs round-robin stage replication."""
 
-from repro.experiments import fig8, write_result
+from repro.experiments import fig8, run_experiment
 
 
 def test_fig8_replication(once):
-    res = once(fig8.run)
-    write_result("fig8_replication", fig8.format_results(res))
+    res = once(run_experiment, "fig8")
     # Splitting wins despite its split/concat overhead (paper §V-B2).
     assert res.split_advantage > 1.05
 

@@ -1,11 +1,10 @@
 """Table I: activation-vs-gradient traffic volume."""
 
-from repro.experiments import table1, write_result
+from repro.experiments import run_experiment
 
 
 def test_table1_traffic(once):
-    rows = once(table1.run)
-    write_result("table1_traffic", table1.format_results(rows))
+    rows = once(run_experiment, "table1")
     for r in rows:
         # The paper's central asymmetry: gradients dwarf boundary
         # activations by orders of magnitude for every benchmark.

@@ -1,11 +1,10 @@
 """Table III: the calibrated hardware configurations."""
 
-from repro.experiments import table3, write_result
+from repro.experiments import run_experiment
 
 
 def test_table3_configs(once):
-    rows = once(table3.run)
-    write_result("table3_configs", table3.format_results(rows))
+    rows = once(run_experiment, "table3")
     by = {r.config: r for r in rows}
     # Paper's Table III shape: A = 8 GPUs/server + NVLink + 25GbE;
     # B = 1 GPU/server + 25GbE; C = 1 GPU/server + 10GbE.

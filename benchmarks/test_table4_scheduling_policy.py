@@ -1,11 +1,10 @@
 """Table IV: warm-up policy PB vs PA throughput on Config-A."""
 
-from repro.experiments import table4, write_result
+from repro.experiments import run_experiment
 
 
 def test_table4_scheduling_policy(once):
-    rows = once(table4.run)
-    write_result("table4_scheduling_policy", table4.format_results(rows))
+    rows = once(run_experiment, "table4")
     by_model = {r.model: r for r in rows}
     # PB never loses (it only adds warm-up depth).
     for r in rows:

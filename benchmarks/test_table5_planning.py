@@ -1,11 +1,10 @@
 """Table V: DAPPLE planning results for all six models on configs A/B/C."""
 
-from repro.experiments import table5, write_result
+from repro.experiments import run_experiment
 
 
 def test_table5_planning(once):
-    rows = once(table5.run)
-    write_result("table5_planning", table5.format_results(rows))
+    rows = once(run_experiment, "table5")
 
     by_key = {(r.model, r.config): r for r in rows}
 

@@ -1,11 +1,10 @@
 """Table VI: DAPPLE vs GPipe throughput and peak memory on BERT-48."""
 
-from repro.experiments import table6, write_result
+from repro.experiments import run_experiment
 
 
 def test_table6_gpipe_comparison(once):
-    rows = once(table6.run)
-    write_result("table6_gpipe", table6.format_results(rows))
+    rows = once(run_experiment, "table6")
 
     def pick(system, m):
         return next(r for r in rows if r.system == system and r.num_micro_batches == m)

@@ -1,11 +1,10 @@
 """Table VIII: weak scaling — maximum BERT depth per pipeline size."""
 
-from repro.experiments import table8, write_result
+from repro.experiments import run_experiment
 
 
 def test_table8_weak_scaling(once):
-    rows = once(table8.run)
-    write_result("table8_weak_scaling", table8.format_results(rows))
+    rows = once(run_experiment, "table8")
     by_p = {r.pipeline_devices: r for r in rows}
 
     # Depth grows monotonically with pipeline size...

@@ -2,8 +2,7 @@
 
 from repro.baselines.gpipe_partition import balanced_partition, gpipe_plan
 from repro.baselines.pipedream import (
-    HierarchicalPipeDreamPlanner,
-    PipeDreamPlanner,
+    PipeDreamResult,
     pipedream_plan,
     pipedream_plan_hierarchical,
 )
@@ -11,8 +10,7 @@ from repro.baselines.pipedream import (
 __all__ = [
     "balanced_partition",
     "gpipe_plan",
-    "HierarchicalPipeDreamPlanner",
-    "PipeDreamPlanner",
+    "PipeDreamResult",
     "pipedream_plan",
     "pipedream_plan_hierarchical",
 ]

@@ -15,6 +15,7 @@ import numpy as np
 
 from repro.cluster.topology import Cluster
 from repro.core.plan import ParallelPlan, Stage
+from repro.core.planner import _largest_divisor_leq
 from repro.core.profiler import ModelProfile
 
 
@@ -73,12 +74,11 @@ def gpipe_plan(
     devices = cluster.devices
     stages = [Stage(bounds[i], bounds[i + 1], (devices[i],)) for i in range(s)]
     mbs = micro_batch_size or profile.graph.profile_batch
-    m = max(1, global_batch_size // mbs)
-    while global_batch_size % m != 0:
-        m -= 1
     return ParallelPlan(
         model=profile.graph,
         stages=stages,
         global_batch_size=global_batch_size,
-        num_micro_batches=m,
+        num_micro_batches=_largest_divisor_leq(
+            global_batch_size, max(1, global_batch_size // mbs)
+        ),
     )

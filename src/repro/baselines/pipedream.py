@@ -1,11 +1,11 @@
 """PipeDream's pipeline planner (Narayanan et al., SOSP'19), as the paper's
-comparison baseline (§VI-F, Table VII, Fig. 13).
+comparison baseline (§VI-F, Table VII / Fig. 13).
 
 PipeDream optimizes *asynchronous steady-state throughput*: it partitions
 layers into stages (each optionally replicated) to minimize the slowest
 pipeline component,
 
-``A(j, m) = min over (i, m') of max( A(i, m−m'),  C_i,  T(i..j, m') )``
+``A(j, m) = min over (i, m') of max( A(i, m−m'),  T(i..j, m'),  C_i )``
 
 where ``T`` is the replicated stage's per-batch time including its own
 weight-synchronization cost, and ``C_i`` the inter-stage activation
@@ -14,6 +14,12 @@ models neither the warm-up/drain bubbles of *synchronous* pipelines nor
 the end-of-batch gradient AllReduce, which is why its plans lose to
 DAPPLE's under synchronous evaluation (we evaluate both under the DAPPLE
 runtime, exactly like the paper's §VI-F methodology).
+
+On hierarchical clusters PipeDream recurses over bandwidth levels: the
+same recurrence runs over *machines* (replication syncs over Ethernet),
+and a one-machine stage is itself partitioned over that machine's GPUs
+(replication syncs over NVLink).  That constrains placement to nested
+contiguous blocks — a strict subset of DAPPLE's placement space (§IV-B/D).
 """
 
 from __future__ import annotations
@@ -23,7 +29,10 @@ from functools import lru_cache
 
 from repro.cluster.topology import Cluster
 from repro.core.plan import ParallelPlan, Stage
+from repro.core.planner import _largest_divisor_leq
 from repro.core.profiler import ModelProfile
+
+_INF = float("inf")
 
 
 @dataclass
@@ -36,116 +45,87 @@ class PipeDreamResult:
     stage_replicas: list[int]
 
 
-class PipeDreamPlanner:
-    """DP over (layers-prefix, machines) minimizing the slowest component."""
+def _solve(
+    profile: ModelProfile,
+    cluster: Cluster,
+    gbs: int,
+    mbs: int | None,
+    two_level: bool,
+) -> PipeDreamResult:
+    mbs = mbs or profile.graph.profile_batch
+    n = profile.num_layers
+    gpm = cluster.gpus_per_machine
+    inter = cluster.inter
+    two_level = two_level and len(cluster.machines) >= 2 and gpm >= 2
 
-    def __init__(
-        self,
-        profile: ModelProfile,
-        cluster: Cluster,
-        global_batch_size: int,
-        micro_batch_size: int | None = None,
-    ):
-        self.profile = profile
-        self.cluster = cluster
-        self.gbs = global_batch_size
-        self.mbs = micro_batch_size or profile.graph.profile_batch
-
-    # ------------------------------------------------------------------ #
-    # Cost terms (per micro-batch of self.mbs samples)
-    # ------------------------------------------------------------------ #
-    def _sync_bandwidth(self, workers: int) -> float:
-        """Bandwidth for a contiguous ``workers``-GPU replica group."""
-        if workers <= self.cluster.gpus_per_machine:
-            return self.cluster.machines[0].intra_bw
-        return self.cluster.inter.bandwidth
-
-    def stage_time(self, lo: int, hi: int, workers: int) -> float:
-        """Replicated stage time: compute split ``workers`` ways + weight sync.
-
-        PipeDream's model: ``(Σ compute) / m'`` plus the data-parallel
-        synchronization volume ``4·(m'−1)·|W| / (m'·B)`` amortized over the
-        replicas.
-        """
-        compute = self.profile.fwd_time(lo, hi, self.mbs) + self.profile.bwd_time(
-            lo, hi, self.mbs
+    def stage_time(lo: int, hi: int, units: int, unit_gpus: int, bw: float) -> float:
+        """Compute split over ``units × unit_gpus`` GPUs plus the weight sync
+        ``4·(m'−1)·|W| / (m'·B)`` among the ``units`` replicas.  Async
+        PipeDream syncs every mini-batch: no accumulation amortizes it."""
+        t = (profile.fwd_time(lo, hi, mbs) + profile.bwd_time(lo, hi, mbs)) / (
+            units * unit_gpus
         )
-        t = compute / workers
-        if workers > 1:
-            # Async PipeDream synchronizes weights every mini-batch — there
-            # is no gradient accumulation to amortize the volume over.
-            w = self.profile.param_bytes(lo, hi)
-            t += 4.0 * (workers - 1) * w / (workers * self._sync_bandwidth(workers))
+        if units > 1:
+            t += 4.0 * (units - 1) * profile.param_bytes(lo, hi) / (units * bw)
         return t
 
-    def comm_time(self, split: int) -> float:
-        """Inter-stage activation transfer (forward + backward)."""
-        nbytes = self.profile.boundary_bytes(split, self.mbs)
-        return 2.0 * (self.cluster.inter.latency + nbytes / self.cluster.inter.bandwidth)
+    def stage(i: int, j: int, units: int, machine_level: bool) -> tuple[float, tuple]:
+        """Cost and ``(layer_lo, gpus)`` stage descriptors of [i, j) on ``units``."""
+        if not machine_level:
+            bw = cluster.machines[0].intra_bw if units <= gpm else inter.bandwidth
+            return stage_time(i, j, units, 1, bw), ((i, units),)
+        if units == 1:
+            return best(i, j, gpm, False)  # one machine: recurse to its GPUs
+        return stage_time(i, j, units, gpm, inter.bandwidth), ((i, units * gpm),)
 
-    # ------------------------------------------------------------------ #
-    # DP
-    # ------------------------------------------------------------------ #
-    def solve(self) -> PipeDreamResult:
-        n = self.profile.num_layers
-        g = self.cluster.num_devices
+    @lru_cache(maxsize=None)
+    def best(lo: int, j: int, units: int, machine_level: bool) -> tuple[float, tuple]:
+        """Optimal (bottleneck, descriptors) for layers [lo, j) on all ``units``."""
+        out = (_INF, ())
+        for i in range(lo, j):
+            # Activation transfer into [i, j), forward + backward.
+            comm = 0.0
+            if i > lo:
+                comm = 2.0 * (inter.latency + profile.boundary_bytes(i, mbs) / inter.bandwidth)
+            # The last stage is [i, j) on w units; a first stage takes all.
+            for w in range(1, units + 1):
+                if i == lo and w != units:
+                    continue
+                prev, decisions = best(lo, i, units - w, machine_level) if i > lo else (0.0, ())
+                if prev == _INF:
+                    continue
+                cost, last = stage(i, j, w, machine_level)
+                cand = max(prev, cost, comm)
+                if cand < out[0]:
+                    out = (cand, decisions + last)
+        return out
 
-        @lru_cache(maxsize=None)
-        def best(j: int, m: int) -> tuple[float, tuple]:
-            """Optimal (bottleneck, decisions) for layers [0, j) on m GPUs.
+    top = len(cluster.machines) if two_level else cluster.num_devices
+    bottleneck, decisions = best(0, n, top, two_level)
+    if bottleneck == _INF:
+        raise RuntimeError("PipeDream planner found no feasible partition")
 
-            decisions is a tuple of (split_lo, workers) stage descriptors.
-            """
-            if j == 0:
-                return (0.0, ()) if m == 0 else (float("inf"), ())
-            out = (float("inf"), ())
-            # Last stage covers [i, j) replicated on m' workers.
-            for i in range(j):
-                for workers in range(1, m + 1):
-                    if i == 0 and m - workers != 0:
-                        continue  # all GPUs must be used
-                    prev, decisions = best(i, m - workers) if i > 0 else (0.0, ())
-                    if prev == float("inf"):
-                        continue
-                    terms = [prev, self.stage_time(i, j, workers)]
-                    if i > 0:
-                        terms.append(self.comm_time(i))
-                    cand = max(terms)
-                    if cand < out[0]:
-                        out = (cand, decisions + ((i, workers),))
-            return out
-
-        bottleneck, decisions = best(n, g)
-        if bottleneck == float("inf"):
-            raise RuntimeError("PipeDream planner found no feasible partition")
-
-        bounds = [d[0] for d in decisions] + [n]
-        replicas = [d[1] for d in decisions]
-        plan = self._materialize(bounds, replicas)
-        return PipeDreamResult(
-            plan=plan,
-            bottleneck_time=bottleneck,
-            stage_layer_bounds=bounds,
-            stage_replicas=replicas,
-        )
-
-    def _materialize(self, bounds: list[int], replicas: list[int]) -> ParallelPlan:
-        """Assign contiguous device blocks to stages, PipeDream-style."""
-        devices = self.cluster.devices
-        stages = []
-        cursor = 0
-        for k, r in enumerate(replicas):
-            stages.append(Stage(bounds[k], bounds[k + 1], tuple(devices[cursor : cursor + r])))
-            cursor += r
-        m = max(1, self.gbs // self.mbs)
-        while self.gbs % m != 0:
-            m -= 1
-        return ParallelPlan(
-            model=self.profile.graph,
-            stages=stages,
-            global_batch_size=self.gbs,
-            num_micro_batches=m,
-        )
+    # Stages take contiguous device blocks; devices are machine-major, so a
+    # machine-level stage owns whole machines and a GPU-level one a slice.
+    bounds = [lo for lo, _ in decisions] + [n]
+    replicas = [gpus for _, gpus in decisions]
+    devices = cluster.devices
+    stages, cursor = [], 0
+    for k, r in enumerate(replicas):
+        stages.append(Stage(bounds[k], bounds[k + 1], tuple(devices[cursor : cursor + r])))
+        cursor += r
+    plan = ParallelPlan(
+        model=profile.graph,
+        stages=stages,
+        global_batch_size=gbs,
+        num_micro_batches=_largest_divisor_leq(gbs, max(1, gbs // mbs)),
+    )
+    return PipeDreamResult(
+        plan=plan,
+        bottleneck_time=bottleneck,
+        stage_layer_bounds=bounds,
+        stage_replicas=replicas,
+    )
 
 
 def pipedream_plan(
@@ -154,182 +134,8 @@ def pipedream_plan(
     global_batch_size: int,
     micro_batch_size: int | None = None,
 ) -> PipeDreamResult:
-    """One-call façade for the PipeDream baseline planner."""
-    return PipeDreamPlanner(profile, cluster, global_batch_size, micro_batch_size).solve()
-
-
-class HierarchicalPipeDreamPlanner(PipeDreamPlanner):
-    """PipeDream's two-level planner for hierarchical interconnects.
-
-    The SOSP'19 planner recurses over bandwidth levels: first partition the
-    model over *machines* (replication crossing the slow inter-server
-    network), then partition each machine-level stage over that machine's
-    GPUs (replication over NVLink).  The paper notes this "works well for
-    asynchronous training" but constrains placement to nested contiguous
-    blocks — a strict subset of DAPPLE's placement space (§IV-B/D).
-
-    We implement the two-level recursion directly: an outer DP over
-    machine counts using inter-server bandwidth for weight sync, whose
-    per-stage cost is the *inner* single-level solution over one machine's
-    GPUs with NVLink bandwidth.
-    """
-
-    def solve(self) -> PipeDreamResult:
-        n = self.profile.num_layers
-        machines = self.cluster.machines
-        if len(machines) < 2 or self.cluster.gpus_per_machine < 2:
-            return super().solve()  # flat topology: single level
-
-        from functools import lru_cache
-
-        gpm = self.cluster.gpus_per_machine
-
-        def inner_bottleneck(lo: int, hi: int) -> tuple[float, tuple]:
-            """Best single-machine partition of layers [lo, hi) on gpm GPUs."""
-            sub = _SingleMachinePlanner(self, lo, hi, gpm)
-            return sub.best(hi - lo, gpm)
-
-        @lru_cache(maxsize=None)
-        def outer(j: int, m: int) -> tuple[float, tuple]:
-            """Layers [0, j) over m machines; machine-level stages only."""
-            if j == 0:
-                return (0.0, ()) if m == 0 else (float("inf"), ())
-            out = (float("inf"), ())
-            for i in range(j):
-                for used in range(1, m + 1):
-                    if i == 0 and m - used != 0:
-                        continue
-                    prev, decisions = outer(i, m - used) if i > 0 else (0.0, ())
-                    if prev == float("inf"):
-                        continue
-                    if used == 1:
-                        # One machine: recurse to the GPU level.
-                        stage_cost, inner = inner_bottleneck(i, j)
-                        descriptor = (i, 1, inner)
-                    else:
-                        # Replicate the whole [i, j) block over `used`
-                        # machines (all their GPUs), syncing over Ethernet.
-                        workers = used * gpm
-                        compute = (
-                            self.profile.fwd_time(i, j, self.mbs)
-                            + self.profile.bwd_time(i, j, self.mbs)
-                        ) / workers
-                        w = self.profile.param_bytes(i, j)
-                        sync = 4.0 * (used - 1) * w / (
-                            used * self.cluster.inter.bandwidth
-                        )
-                        stage_cost = compute + sync
-                        descriptor = (i, used, None)
-                    terms = [prev, stage_cost]
-                    if i > 0:
-                        terms.append(self.comm_time(i))
-                    cand = max(terms)
-                    if cand < out[0]:
-                        out = (cand, decisions + (descriptor,))
-            return out
-
-        bottleneck, decisions = outer(n, len(machines))
-        if bottleneck == float("inf"):
-            raise RuntimeError("hierarchical PipeDream found no feasible partition")
-
-        # Materialize: walk machine-level stages, expanding inner solutions.
-        stages: list = []
-        bounds: list[int] = []
-        replicas: list[int] = []
-        machine_cursor = 0
-        from repro.core.plan import Stage
-
-        # Stage extents come from consecutive machine-level descriptors.
-        extents = [d[0] for d in decisions] + [n]
-        for k, (lo, used, inner) in enumerate(decisions):
-            hi = extents[k + 1]
-            if used > 1 or inner is None:
-                devs = []
-                for mm in range(machine_cursor, machine_cursor + used):
-                    devs.extend(machines[mm].devices)
-                stages.append(Stage(lo, hi, tuple(devs)))
-                bounds.append(lo)
-                replicas.append(len(devs))
-            else:
-                # Expand the inner single-machine partition.
-                machine = machines[machine_cursor]
-                gpu_cursor = 0
-                inner_bounds = [d[0] + lo for d in inner] + [hi]
-                for kk, (_rel_lo, workers) in enumerate(inner):
-                    ilo, ihi = inner_bounds[kk], inner_bounds[kk + 1]
-                    devs = machine.devices[gpu_cursor : gpu_cursor + workers]
-                    stages.append(Stage(ilo, ihi, tuple(devs)))
-                    bounds.append(ilo)
-                    replicas.append(workers)
-                    gpu_cursor += workers
-            machine_cursor += used
-
-        m = max(1, self.gbs // self.mbs)
-        while self.gbs % m:
-            m -= 1
-        from repro.core.plan import ParallelPlan
-
-        plan = ParallelPlan(
-            model=self.profile.graph,
-            stages=stages,
-            global_batch_size=self.gbs,
-            num_micro_batches=m,
-        )
-        return PipeDreamResult(
-            plan=plan,
-            bottleneck_time=bottleneck,
-            stage_layer_bounds=bounds + [n],
-            stage_replicas=replicas,
-        )
-
-
-class _SingleMachinePlanner:
-    """Inner-level PipeDream DP over one machine's GPUs (NVLink sync)."""
-
-    def __init__(self, parent: PipeDreamPlanner, lo: int, hi: int, gpus: int):
-        self.parent = parent
-        self.lo = lo
-        self.hi = hi
-        self.gpus = gpus
-        self._cache: dict = {}
-
-    def stage_time(self, lo: int, hi: int, workers: int) -> float:
-        p = self.parent
-        compute = (
-            p.profile.fwd_time(lo, hi, p.mbs) + p.profile.bwd_time(lo, hi, p.mbs)
-        ) / workers
-        if workers > 1:
-            w = p.profile.param_bytes(lo, hi)
-            compute += 4.0 * (workers - 1) * w / (
-                workers * p.cluster.machines[0].intra_bw
-            )
-        return compute
-
-    def best(self, j: int, m: int) -> tuple[float, tuple]:
-        """Layers [lo, lo+j) on m GPUs; returns (bottleneck, descriptors)."""
-        key = (j, m)
-        if key in self._cache:
-            return self._cache[key]
-        if j == 0:
-            out = (0.0, ()) if m == 0 else (float("inf"), ())
-            self._cache[key] = out
-            return out
-        out = (float("inf"), ())
-        for i in range(j):
-            for workers in range(1, m + 1):
-                if i == 0 and m - workers != 0:
-                    continue
-                prev, decisions = self.best(i, m - workers) if i > 0 else (0.0, ())
-                if prev == float("inf"):
-                    continue
-                terms = [prev, self.stage_time(self.lo + i, self.lo + j, workers)]
-                if i > 0:
-                    terms.append(self.parent.comm_time(self.lo + i))
-                cand = max(terms)
-                if cand < out[0]:
-                    out = (cand, decisions + ((i, workers),))
-        self._cache[key] = out
-        return out
+    """Single-level PipeDream planning over the cluster's GPUs."""
+    return _solve(profile, cluster, global_batch_size, micro_batch_size, False)
 
 
 def pipedream_plan_hierarchical(
@@ -338,7 +144,6 @@ def pipedream_plan_hierarchical(
     global_batch_size: int,
     micro_batch_size: int | None = None,
 ) -> PipeDreamResult:
-    """Two-level PipeDream planning for hierarchical clusters (Config-A)."""
-    return HierarchicalPipeDreamPlanner(
-        profile, cluster, global_batch_size, micro_batch_size
-    ).solve()
+    """Two-level PipeDream planning for hierarchical clusters (Config-A);
+    falls back to one level on flat or single-machine clusters."""
+    return _solve(profile, cluster, global_batch_size, micro_batch_size, True)

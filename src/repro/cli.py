@@ -58,15 +58,10 @@ from repro.core import Planner, PlannerConfig, profile_model
 from repro.core.plancache import configure_default, default_cache
 from repro.core.planner import plan_best
 from repro.core.serialization import load_plan, save_plan
+from repro.experiments import EXPERIMENTS, run_experiment
 from repro.models import PAPER_FIGURES, get_model, model_names, paper_gbs
 from repro.runtime import execute_plan
 from repro.runtime.memory import OutOfMemoryError
-
-EXPERIMENTS = [
-    "table1", "table2", "table3", "table4", "table5", "table6", "table7", "table8",
-    "fig3", "fig4", "fig7", "fig8", "fig12", "fig13", "fig14", "convergence",
-    "bandwidth_sweep", "straggler_sweep", "schedule_bubbles",
-]
 
 #: Fixed default for every seeded CLI path, so runs are reproducible unless
 #: the user explicitly varies ``--seed``.
@@ -301,25 +296,10 @@ def cmd_compare(args) -> int:
 
 def cmd_experiment(args) -> int:
     """``repro experiment``: regenerate paper tables/figures into results/."""
-    import importlib
-    import inspect
-
-    from repro.experiments.reporting import write_result
-
-    names = EXPERIMENTS if args.name == "all" else [args.name]
-    for name in names:
-        mod = importlib.import_module(f"repro.experiments.{name}")
+    for name in EXPERIMENTS if args.name == "all" else [args.name]:
         print(f"running {name} ...", flush=True)
-        # Sweep-able drivers accept a worker count, seeded ones a seed;
-        # legacy ones stay serial/deterministic.
-        params = inspect.signature(mod.run).parameters
-        kwargs = {}
-        if "jobs" in params:
-            kwargs["jobs"] = args.jobs or None  # 0 → auto (all cores but one)
-        if "seed" in params:
-            kwargs["seed"] = args.seed
-        result = mod.run(**kwargs)
-        write_result(name, mod.format_results(result))
+        # --jobs 0 → auto (all cores but one).
+        run_experiment(name, jobs=args.jobs or None, seed=args.seed)
     return 0
 
 
@@ -852,10 +832,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
 
     p = sub.add_parser("experiment", help="regenerate a paper table/figure")
-    p.add_argument("name", choices=EXPERIMENTS + ["all"])
+    p.add_argument("name", choices=[*EXPERIMENTS, "all"])
     p.add_argument(
         "--jobs", type=int, default=1,
-        help="worker processes for sweep-able experiments (fig12/fig13/fig14/"
+        help="worker processes for sweep-able experiments (fig12/fig14/"
         "table7/straggler_sweep); 0 = all cores but one",
     )
     p.add_argument(

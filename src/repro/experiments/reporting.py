@@ -1,9 +1,9 @@
 """Result formatting and persistence for experiment reproductions.
 
-Every benchmark writes its reproduced table/figure to ``results/<id>.txt``
-at the repository root (or ``$REPRO_RESULTS_DIR``), so a full
-``pytest benchmarks/ --benchmark-only`` run leaves the complete set of
-paper artifacts on disk.
+Artifacts go to ``results/<id>.txt`` at the repository root (or
+``$REPRO_RESULTS_DIR``).  Registered experiments reach :func:`write_result`
+only through :func:`repro.experiments.run_experiment`; the benchmark-only
+ablations and extensions call it directly.
 """
 
 from __future__ import annotations

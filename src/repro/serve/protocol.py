@@ -60,6 +60,11 @@ _ALLOWED_KEYS = {
 #: the bound is checked before anything is built.
 MAX_GPUS = 1024
 
+#: Largest ``gbs`` a request may ask for.  The micro-batch divisor search is
+#: O(√gbs) and runs per planner candidate, so the bound is checked before
+#: anything is built.
+MAX_GBS = 2**20
+
 
 class RequestError(ValueError):
     """Malformed or unresolvable plan request (HTTP 400)."""
@@ -129,6 +134,8 @@ class PlanRequest:
             raise RequestError(
                 f"{what} names {gpus} GPUs; a request may name at most {MAX_GPUS}"
             )
+        if self.gbs is not None and self.gbs > MAX_GBS:
+            raise RequestError(f"'gbs' is {self.gbs}; a request may ask for at most {MAX_GBS}")
         try:
             if self.graph is not None:
                 graph = graph_from_dict(self.graph)

@@ -82,12 +82,12 @@ class TestCommittedResultsConsistency:
     """The full ``results/*.txt`` tables agree with a fresh subset run."""
 
     def test_fig12_results_row_matches(self, fig12_subset):
-        committed = (RESULTS / "fig12_speedups.txt").read_text()
+        committed = (RESULTS / "fig12.txt").read_text()
         fresh = _find_row(fig12_subset, ["vgg19", "A", "1024"])
         full = _find_row(committed, ["vgg19", "A", "1024"])
         assert fresh is not None and full is not None
         assert full == fresh, (
-            "results/fig12_speedups.txt is stale for vgg19/A/1024 — "
+            "results/fig12.txt is stale for vgg19/A/1024 — "
             "regenerate with `repro experiment fig12`"
         )
 
@@ -116,7 +116,7 @@ class TestCommittedResultsConsistency:
 
     def test_headers_match_formatters(self, fig12_subset, straggler_subset):
         for fname, subset in (
-            ("fig12_speedups.txt", fig12_subset),
+            ("fig12.txt", fig12_subset),
             ("straggler_sweep.txt", straggler_subset),
         ):
             committed = (RESULTS / fname).read_text()

@@ -168,8 +168,9 @@ class TestDecodePlanRequest:
 
 
 class TestClusterSizeBound:
-    """Requests naming more than MAX_GPUS GPUs are refused before any
-    cluster object is built (building costs time and memory per GPU)."""
+    """Requests naming more than MAX_GPUS GPUs, or a gbs over MAX_GBS, are
+    refused before any cluster object is built (building costs time and
+    memory per GPU; the micro-batch divisor search costs O(√gbs))."""
 
     @pytest.fixture
     def no_builds(self, monkeypatch):
@@ -197,6 +198,20 @@ class TestClusterSizeBound:
     def test_bound_itself_is_accepted(self):
         req = decode_plan_request({"model": "bert48", "config": "B", "devices": 1024})
         assert req.resolve()[1].num_devices == 1024
+
+    def test_gbs_over_bound_rejected_before_build(self, no_builds):
+        from repro.serve.protocol import MAX_GBS
+
+        assert MAX_GBS == 2**20
+        with pytest.raises(RequestError, match=f"at most {MAX_GBS}"):
+            decode_plan_request({"model": "bert48", "config": "B", "gbs": 10**14})
+
+    def test_gbs_bound_itself_is_accepted(self):
+        from repro.serve.protocol import MAX_GBS
+
+        req = decode_plan_request({"model": "vgg19", "config": "B", "devices": 4,
+                                   "gbs": MAX_GBS})
+        assert req.resolve()[2] == MAX_GBS
 
     def test_non_finite_gpu_count_is_a_400(self):
         body = cluster_to_dict(config_a(1))

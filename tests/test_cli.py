@@ -172,7 +172,7 @@ class TestExperiment:
     def test_seed_flag_reaches_seeded_experiments(self):
         import inspect
 
-        from repro.cli import EXPERIMENTS
+        from repro.experiments import EXPERIMENTS
 
         args = build_parser().parse_args(["experiment", "convergence", "--seed", "7"])
         assert args.seed == 7

@@ -51,7 +51,7 @@ def test_experiment_modules_expose_run_and_format(name):
 
 
 def test_cli_experiment_registry_consistent():
-    from repro.cli import EXPERIMENTS
+    from repro.experiments import EXPERIMENTS
 
     for name in EXPERIMENTS:
         importlib.import_module(f"repro.experiments.{name}")
