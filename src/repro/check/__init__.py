@@ -8,8 +8,9 @@ Three pillars, one report type:
   weight sync, analytical makespan lower bound);
 * :mod:`repro.check.oracles` — differential oracles over the repo's
   redundant implementations (compiled vs reference engine, batched vs
-  per-seed ensemble, level-batched vs scalar planner, evaluate vs explain,
-  clean fault path), with the slow reference sides in
+  per-seed ensemble, folded vs per-replica task graph, level-batched vs
+  scalar planner, evaluate vs explain, clean fault path), with the slow
+  reference sides in
   :mod:`repro.check.reference`;
 * :mod:`repro.check.generators` — seeded random instances so both run
   beyond the model zoo.
@@ -32,6 +33,7 @@ from repro.check.oracles import (
     oracle_clean_faults,
     oracle_engines,
     oracle_explain,
+    oracle_fold,
     oracle_memory_m_independence,
     oracle_plan_cache,
     oracle_planner,
@@ -53,6 +55,7 @@ __all__ = [
     "oracle_clean_faults",
     "oracle_engines",
     "oracle_explain",
+    "oracle_fold",
     "oracle_memory_m_independence",
     "oracle_plan_cache",
     "oracle_planner",

@@ -126,8 +126,8 @@ def _check_completeness(graph, rows, report: ConformanceReport) -> None:
     seen: dict[str, int] = {}
     for name, _s, _e, _r, _t in rows:
         seen[name] = seen.get(name, 0) + 1
-    for op in graph.ops():
-        name = op.name
+    # Every trace row: one per op, one per replica of a folded op.
+    for name in graph.row_ids:
         n = seen.pop(name, 0)
         if n != 1:
             report.add(Violation(
@@ -142,7 +142,7 @@ def _check_completeness(graph, rows, report: ConformanceReport) -> None:
 
 def _check_durations(graph, rows, report: ConformanceReport) -> None:
     report.ran("duration-fidelity")
-    id_of = graph.id_of
+    id_of = graph.row_ids
     declared = graph.duration_list
     for name, start, end, _r, _t in rows:
         i = id_of.get(name)
@@ -270,16 +270,22 @@ def check_simulation(graph, result, subject: str = "simulation") -> ConformanceR
 # --------------------------------------------------------------------- #
 # Pipeline-semantics checks (plan/schedule context required)
 # --------------------------------------------------------------------- #
-def _edge_set(graph) -> set:
-    names = [op.name for op in graph.ops()]
-    return {
-        (names[i], names[j])
-        for i, succs in enumerate(graph.succ_ids)
-        for j in succs
-    }
+class _Edges:
+    """The graph's dependency edges, queried by trace row name: a folded
+    op's edges stand for each of its replicas' rows."""
+
+    def __init__(self, graph) -> None:
+        self.row_ids = graph.row_ids
+        self.pairs = {
+            (i, j) for i, succs in enumerate(graph.succ_ids) for j in succs
+        }
+
+    def __contains__(self, edge: tuple) -> bool:
+        before, after = (self.row_ids.get(name) for name in edge)
+        return (before, after) in self.pairs
 
 
-def _require(edges: set, before: str, after: str, stage: int,
+def _require(edges: _Edges, before: str, after: str, stage: int,
              report: ConformanceReport) -> None:
     if (before, after) not in edges:
         report.add(Violation(
@@ -303,10 +309,11 @@ def _check_structure(graph, plan, schedule, report: ConformanceReport,
 
     Schedule-generic: for split backwards the gradient chain runs through
     ``BI`` (F→BI, BI→BW, sendback wired to BI) and the AllReduce barrier
-    through the releasing ``BW``.
+    through the releasing ``BW``.  Edges are required per replica; in a
+    folded graph the ops simulating the replicas' rows must carry them.
     """
     report.ran("structure")
-    edges = _edge_set(graph)
+    edges = _Edges(graph)
     m = plan.num_micro_batches
     split = _split_sets(schedule)
 
@@ -824,7 +831,7 @@ def verify_execution(
         enforce_memory=enforce_memory,
         sim_engine=engine,
     )
-    graph = executor.build_graph()
+    graph = executor.build_graph(fold=False)
     result = Simulator(graph, engine=engine).run()
     kind = schedule if isinstance(schedule, str) else None
     if (

@@ -28,6 +28,7 @@ __all__ = [
     "ScalarPlanner",
     "planner_diffs",
     "oracle_engines",
+    "oracle_fold",
     "oracle_planner",
     "oracle_plan_cache",
     "oracle_served_plan",
@@ -112,6 +113,63 @@ def oracle_engines(graph, subject: str = "engines") -> ConformanceReport:
             f"({len(path_c)} vs {len(path_o)} ops)",
             op=next((c[0] for c, o in zip(ends_c, ends_o) if c != o), None),
         ))
+    return report
+
+
+def oracle_fold(profile, cluster, plan, subject: str = "fold",
+                **kwargs) -> ConformanceReport:
+    """The folded iteration graph reproduces the per-replica one exactly.
+
+    Builds the iteration with one op chain per lock-step replica class (the
+    graph ``execute_plan`` runs) and with one per replica
+    (``build_graph(fold=False)``), simulates both on the compiled engine,
+    and demands bit-equal makespans, trace rows in order, per-device memory
+    peaks and finals, critical paths (names, ends, stage signature), stage
+    bubbles, :func:`~repro.runtime.analysis.analyze` reports and Chrome
+    trace bytes.  ``kwargs`` go to the
+    :class:`~repro.runtime.executor.PipelineExecutor` (schedule, recompute,
+    device_slowdown, ...).
+    """
+    import json
+
+    from repro.faults.analysis import (
+        critical_path, critical_path_stages, stage_bubble_fractions,
+    )
+    from repro.runtime.analysis import analyze
+    from repro.runtime.executor import ExecutionResult, PipelineExecutor
+    from repro.sim.chrome_trace import trace_to_events
+    from repro.sim.engine import Simulator
+
+    report = ConformanceReport(subject=subject)
+    report.ran("oracle-fold")
+    executor = PipelineExecutor(profile, cluster, plan, **kwargs)
+    views = []
+    for fold in (True, False):
+        graph = executor.build_graph(fold=fold)
+        res = Simulator(graph).run()
+        run = ExecutionResult(
+            plan, res.makespan, res.trace, res.memory, executor.schedule,
+            executor.recompute,
+        )
+        path = critical_path(graph, res.trace)
+        views.append({
+            "rows": graph.num_rows,
+            "makespan": res.makespan,
+            "trace rows": list(res.trace.iter_rows()),
+            "memory": list(_memory_rows(res).items()),
+            "critical path": [(e.name, e.end) for e in path],
+            "critical stages": critical_path_stages(path),
+            "bubbles": stage_bubble_fractions(run),
+            "analyze": analyze(run),
+            "chrome trace": json.dumps(trace_to_events(res.trace)),
+        })
+    folded, per_replica = views
+    for what, value in folded.items():
+        if value != per_replica[what]:
+            report.add(Violation(
+                "oracle-fold",
+                f"folded graph diverges from the per-replica graph on {what}",
+            ))
     return report
 
 
@@ -478,6 +536,7 @@ def run_oracles(profile, cluster, plan, gbs: int | None = None,
     report = ConformanceReport(subject=subject)
     graph = PipelineExecutor(profile, cluster, plan).build_graph()
     report.merge(oracle_engines(graph))
+    report.merge(oracle_fold(profile, cluster, plan))
     if gbs is not None:
         report.merge(oracle_planner(profile, cluster, gbs))
         report.merge(oracle_plan_cache(profile, cluster, gbs))

@@ -81,8 +81,11 @@ def run_reference(graph) -> SimulationResult:
     all free — O(ready set) per event, which is what the production loop's
     per-resource waiter heaps avoid.  It reads each op's own fields and the
     graph's dependency columns, not the interned resource, memory or
-    duration columns the production loop runs on.
+    duration columns the production loop runs on.  A folded op traces one
+    event per replica, and a delta on a class key is recorded on each of
+    the class's devices (``graph.members``).
     """
+    members = graph.members
     pool = ResourcePool()
     trace = Trace()
     memory = MemoryTimeline()
@@ -112,7 +115,8 @@ def run_reference(graph) -> SimulationResult:
             if pool.try_acquire(op.resources, i):
                 for eff in op.mem_effects:
                     if not eff.at_end:
-                        memory.record(eff.device, now, eff.delta, PHASE_START)
+                        for key in members.get(eff.device, (eff.device,)):
+                            memory.record(key, now, eff.delta, PHASE_START)
                 heapq.heappush(running, (now + op.duration, sq, i))
             else:
                 skipped.append((prio, sq, i))
@@ -130,16 +134,19 @@ def run_reference(graph) -> SimulationResult:
         pool.release(op.resources, i)
         for eff in op.mem_effects:
             if eff.at_end:
-                memory.record(eff.device, end, eff.delta, PHASE_END)
-        trace.add(
-            TraceEvent(
-                name=op.name,
-                start=end - op.duration,
-                end=end,
-                resources=op.resources,
-                tags=op.tags,
+                for key in members.get(eff.device, (eff.device,)):
+                    memory.record(key, end, eff.delta, PHASE_END)
+        rows = op.replicas.rows(op) if op.replicas else [(op.name, op.resources)]
+        for name, resources in rows:
+            trace.add(
+                TraceEvent(
+                    name=name,
+                    start=end - op.duration,
+                    end=end,
+                    resources=resources,
+                    tags=op.tags,
+                )
             )
-        )
         completed += 1
         woke = False
         for j in succ_ids[i]:

@@ -467,14 +467,16 @@ def cmd_check(args) -> int:
 
     Verifies every (model, system, engine) combination's executed schedule
     against the DAPPLE semantics in :mod:`repro.check.invariants`, then runs
-    the differential oracles (engine equivalence, fast-scan vs scalar
-    planner, explain decomposition, clean fault path, memory
-    M-independence).  ``--schedule`` runs only the engine oracle, on the
-    schedule arm's graph.  Any violation prints the offending op/stage/invariant
-    and exits 2; memory-infeasible combinations are skipped, not failed.
+    the differential oracles (engine equivalence, replica folding,
+    fast-scan vs scalar planner, explain decomposition, clean fault path,
+    memory M-independence).  ``--schedule`` runs only the engine and fold
+    oracles, on the schedule arm's graph.  Any violation prints the
+    offending op/stage/invariant and exits 2; memory-infeasible
+    combinations are skipped, not failed.
     """
     from repro.check import (
-        generate_cases, oracle_engines, run_oracles, verify_execution,
+        generate_cases, oracle_engines, oracle_fold, run_oracles,
+        verify_execution,
     )
     from repro.experiments.reporting import format_table
     from repro.runtime.executor import PipelineExecutor
@@ -529,7 +531,7 @@ def cmd_check(args) -> int:
             if args.no_oracles:
                 continue
             if args.schedule:
-                # The engine oracle, on the schedule arm's own graph.
+                # The engine and fold oracles, on the schedule arm's graph.
                 for arm, plan, sched in arms:
                     try:
                         graph = PipelineExecutor(
@@ -539,6 +541,14 @@ def cmd_check(args) -> int:
                     except OutOfMemoryError:
                         rep = None
                     record(name, "oracles", "engines", rep)
+                    try:
+                        rep = oracle_fold(
+                            prof, cluster, plan, subject=f"{name} {arm}",
+                            schedule=sched,
+                        )
+                    except OutOfMemoryError:
+                        rep = None
+                    record(name, "oracles", "fold", rep)
                 continue
             try:
                 plan = _check_arms(prof, cluster, gbs)[0][1]

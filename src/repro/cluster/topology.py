@@ -128,6 +128,27 @@ class Cluster:
         mb = self.machines[b.machine_id]
         return (ma.nic_send_key, mb.nic_recv_key)
 
+    def group_transfer_resources(self, senders, receivers) -> tuple:
+        """Every key :meth:`transfer_resources` names for some sender →
+        receiver pair, sorted.
+
+        Derived from the two groups' machine sets rather than pair by pair:
+        a machine's outbound NIC when some receiver sits on another machine,
+        its inbound NIC when some sender does, and the NVLink lanes of the
+        pairs that share a machine.
+        """
+        src = {d.machine_id for d in senders}
+        dst = {d.machine_id for d in receivers}
+        keys = {self.machines[m].nic_send_key for m in src if dst - {m}}
+        keys.update(self.machines[m].nic_recv_key for m in dst if src - {m})
+        shared = src & dst
+        for s in senders:
+            if s.machine_id in shared:
+                for r in receivers:
+                    if r.machine_id == s.machine_id:
+                        keys.update(self.transfer_resources(s, r))
+        return tuple(sorted(keys))
+
     # ------------------------------------------------------------------ #
     # Group queries (used by collectives / placement)
     # ------------------------------------------------------------------ #

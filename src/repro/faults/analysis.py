@@ -12,12 +12,13 @@ Answers three questions about a plan under a perturbation model set:
   whose completion times gate the makespan is extracted from each perturbed
   trace and compared (as a stage signature) against the clean run's.
 
-:func:`run_ensemble` builds and compiles the plan's graph **once**, turns
-the model set into an ``(S, ops)`` duration matrix
-(:func:`repro.faults.models.perturb_durations`), and hands the whole
-ensemble — clean row included — to the simulator's event loop
-(:func:`repro.sim.batched.run_batched`) in a single pass.  A clean run and
-every scenario are analyzed by the same functions over the same
+:func:`run_ensemble` builds and compiles the plan's per-replica graph
+(``build_graph(fold=False)``: fault models draw per op, so every replica
+needs its own ops) **once**, turns the model set into an ``(S, ops)``
+duration matrix (:func:`repro.faults.models.perturb_durations`), and
+hands the whole ensemble — clean row included — to the simulator's event
+loop (:func:`repro.sim.batched.run_batched`) in a single pass.  A clean
+run and every scenario are analyzed by the same functions over the same
 :class:`~repro.sim.compiled.ColumnarTrace` columns, bit-identical to one
 simulation per seed analyzed event by event (the oracle
 :func:`repro.check.reference.per_seed_ensemble`).
@@ -324,7 +325,7 @@ def run_ensemble(
             recompute=recompute,
             enforce_memory=enforce_memory,
         )
-        graph = compile_graph(executor.build_graph())
+        graph = compile_graph(executor.build_graph(fold=False))
         matrix = perturb_durations(graph, models, seeds)
         if clean is None:
             rows = np.vstack([graph.durations[None, :], matrix])

@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.faults.models import PerturbationModel
+from repro.faults.models import PerturbationModel, require_per_replica
 from repro.sim.engine import Simulator, TaskGraph
 
 __all__ = ["perturb_graph", "rebuild_with_durations", "execute_plan_faulted", "FaultedExecution"]
@@ -72,6 +72,7 @@ def perturb_graph(
     models = list(models)
     if not models:
         return graph
+    require_per_replica(graph)
     ops = graph.ops()
     durations = list(graph.duration_list)
     children = np.random.SeedSequence(seed).spawn(len(models))
@@ -117,7 +118,8 @@ def execute_plan_faulted(
 
     Mirrors :func:`repro.runtime.execute_plan` exactly, with
     :func:`perturb_graph` interposed between graph construction and
-    simulation.  ``models=()`` runs the untouched clean graph.
+    simulation.  The graph is the per-replica one (models draw per op);
+    ``models=()`` runs it untouched.
     """
     from repro.runtime.executor import ExecutionResult, PipelineExecutor
 
@@ -132,7 +134,7 @@ def execute_plan_faulted(
         device_slowdown=device_slowdown,
         sim_engine=sim_engine,
     )
-    graph = perturb_graph(executor.build_graph(), models, seed)
+    graph = perturb_graph(executor.build_graph(fold=False), models, seed)
     res = Simulator(graph, engine=sim_engine).run()
     result = ExecutionResult(
         plan=plan,

@@ -529,6 +529,16 @@ class TransientFailure(PerturbationModel):
         return out
 
 
+def require_per_replica(graph) -> None:
+    """Refuse a folded graph: models draw per op, so a folded op would
+    perturb all its replicas alike."""
+    if graph.members:
+        raise ValueError(
+            "fault models need the per-replica graph: build it with "
+            "build_graph(fold=False)"
+        )
+
+
 def perturb_durations(graph, models, seeds) -> np.ndarray:
     """Perturbed duration matrix: one row per seed, one column per op.
 
@@ -545,6 +555,8 @@ def perturb_durations(graph, models, seeds) -> np.ndarray:
     """
     ops = graph.ops()
     models = list(models)
+    if models:
+        require_per_replica(graph)
     seeds = [int(s) for s in seeds]
     base = np.array(graph.duration_list, dtype=np.float64)
     out = np.empty((len(seeds), base.size), dtype=np.float64)

@@ -32,7 +32,7 @@ from repro.core.profiler import ModelProfile
 from repro.runtime.memory import MemoryModel, OutOfMemoryError
 from repro.schedules.base import PipeSchedule
 from repro.schedules.registry import build_schedule
-from repro.sim.engine import MemEffect, Op, Simulator, TaskGraph
+from repro.sim.engine import MemEffect, Op, Replicas, Simulator, TaskGraph
 from repro.sim.trace import MemoryTimeline, Trace
 
 
@@ -40,17 +40,17 @@ from repro.sim.trace import MemoryTimeline, Trace
 class IterationOps:
     """Per-stage head/tail op names of one emitted iteration.
 
-    ``first_ops[stage]`` are the first scheduled ops of each replica (what a
-    subsequent iteration must wait behind); ``final_ops[stage]`` is the
-    stage's weights-update dependency (its AllReduce, or the last backward
-    when the stage is not replicated).
+    ``first_ops[stage]`` are the first scheduled ops of each replica class
+    (what a subsequent iteration must wait behind); ``final_ops[stage]`` is
+    the stage's weights-update dependency (its AllReduce, or the last
+    backward when the stage is not replicated).
     """
 
     first_ops: dict[int, list[str]]
     final_ops: dict[int, list[str]]
-    #: Last *forward* op per replica — what an asynchronous next iteration
-    #: chains behind (async pipelines keep forwards flowing while the
-    #: previous batch's backwards drain).
+    #: Last *forward* op per replica class — what an asynchronous next
+    #: iteration chains behind (async pipelines keep forwards flowing
+    #: while the previous batch's backwards drain).
     last_forward_ops: dict[int, list[str]]
 
 
@@ -187,30 +187,48 @@ class PipelineExecutor:
     # ------------------------------------------------------------------ #
     # Graph construction
     # ------------------------------------------------------------------ #
-    def _comm_resources(self, senders, receivers) -> tuple:
-        keys = set()
-        for s in senders:
-            for r in receivers:
-                if s.global_id != r.global_id:
-                    keys.update(self.cluster.transfer_resources(s, r))
-        return tuple(sorted(keys))
+    def _replica_classes(self, stage, fold: bool) -> list[list[int]]:
+        """``stage``'s replica indices grouped into lock-step classes.
 
-    def build_graph(self) -> TaskGraph:
-        """Compile one training iteration into a fresh task graph."""
+        Each micro-batch is sliced evenly over the replicas (paper §V-B2),
+        so replicas with the same slowdown factor run bit-for-bit alike and
+        one op chain can simulate them all.  Classes are ordered by their
+        lowest replica index, which names the class.  ``fold=False`` keeps
+        one class per replica.
+        """
+        if not fold:
+            return [[r] for r in range(stage.replicas)]
+        classes: dict[float, list[int]] = {}
+        for r, d in enumerate(stage.devices):
+            classes.setdefault(self.device_slowdown.get(d.global_id, 1.0), []).append(r)
+        return sorted(classes.values())
+
+    def build_graph(self, fold: bool = True) -> TaskGraph:
+        """Compile one training iteration into a fresh task graph.
+
+        ``fold=False`` emits one op chain per replica instead of one per
+        lock-step replica class — the graph the fault models (which draw
+        per op) and the conformance checks run on.
+        """
         g = TaskGraph()
         with obs.span("runtime.build_graph", plan=self.plan.notation) as sp:
-            self.build_into(g)
-            sp.set(ops=len(g))
+            self.build_into(g, fold=fold)
+            sp.set(ops=len(g), rows=g.num_rows)
         return g
 
     def build_into(
         self, g: TaskGraph, prefix: str = "", include_init: bool = True,
-        priority_base: float = 0.0,
+        priority_base: float = 0.0, fold: bool = True,
     ) -> "IterationOps":
         """Emit one iteration's ops into ``g`` with names under ``prefix``.
 
-        Returns the per-stage first/last op names so callers can chain
-        multiple iterations (see :mod:`repro.runtime.steady_state`).
+        Each stage emits one op chain per replica class
+        (:meth:`_replica_classes`), named after the class's lowest replica
+        and carrying the class as its :class:`~repro.sim.engine.Replicas`,
+        and one init op whose rows cover every replica.  Interleaved plans
+        (whose devices host several stages) are not folded.  Returns the
+        per-stage first/last op names so callers can chain multiple
+        iterations (see :mod:`repro.runtime.steady_state`).
         """
         plan = self.plan
         prof = self.profile
@@ -221,26 +239,50 @@ class PipelineExecutor:
         final_ops: dict[int, list[str]] = {}
         last_forward_ops: dict[int, list[str]] = {}
 
-        # Persistent memory (weights, optimizer states, grad buffers).
+        fold = fold and not plan.meta.get("interleaved")
+        # Per stage and class: the class's lowest replica, its device key,
+        # and the Replicas its ops carry (None for a one-replica class).
+        classes = []
+        for stage in plan.stages:
+            rows = []
+            for cls in self._replica_classes(stage, fold):
+                keys = tuple(stage.devices[r].resource_key for r in cls)
+                rep = Replicas(tuple(f"r{r}" for r in cls), keys) if cls[1:] else None
+                rows.append((cls[0], keys[0], rep))
+            classes.append(rows)
+
+        # Persistent memory (weights, optimizer states, grad buffers).  A
+        # folded stage initializes all its replicas in one op, in device
+        # order, charging each class key once.
         if include_init:
             for i, stage in enumerate(plan.stages):
-                for d in stage.devices:
-                    key = d.resource_key
+                persistent = self.stage_mem[i].persistent_bytes
+                keys = tuple(d.resource_key for d in stage.devices)
+                if fold and keys[1:]:
+                    g.add(Op(
+                        f"{prefix}init/s{i}/{keys[0]}", 0.0, priority=-1e9,
+                        mem_effects=[
+                            MemEffect(key, persistent) for _r, key, _rep in classes[i]
+                        ],
+                        replicas=Replicas(keys, keys),
+                    ))
+                    continue
+                for key in keys:
                     g.add(Op(
                         f"{prefix}init/s{i}/{key}", 0.0, priority=-1e9,
-                        mem_effects=[
-                            MemEffect(key, self.stage_mem[i].persistent_bytes)
-                        ],
+                        mem_effects=[MemEffect(key, persistent)],
                     ))
 
         # Backward split: BI carries this fraction of the combined backward
         # time, BW the rest (only consulted for schedules emitting BI/BW).
         w_frac = self.schedule.backward_weight_fraction
 
-        # Compute ops per stage replica, emitted in stream order and chained
-        # per replica in that order (paper Fig. 11).  A schedule may impose
+        # Compute ops per replica class, emitted in stream order and chained
+        # per class in that order (paper Fig. 11).  A schedule may impose
         # its own dispatch priorities (interleaved schedules order virtual
         # stages sharing a device); the default is stream position.
+        # names[i][(kind, mb)] lists the op names of stage i, one per class.
+        names: list[dict] = []
         for i, stage in enumerate(plan.stages):
             b = plan.device_batch(i)
             fwd = prof.fwd_time(stage.layer_lo, stage.layer_hi, b)
@@ -261,29 +303,36 @@ class PipelineExecutor:
                 "BI": (bwd * (1.0 - w_frac) + extra, remat),
                 "BW": (bwd * w_frac, ((-resident, True),)),
             }
-            keys = [d.resource_key for d in stage.devices]
-            slows = [self.device_slowdown.get(d.global_id, 1.0) for d in stage.devices]
-            chains: list[list[str]] = [[] for _ in keys]
+            slows = [
+                self.device_slowdown.get(stage.devices[r].global_id, 1.0)
+                for r, _key, _rep in classes[i]
+            ]
+            stage_names: dict = {}
+            names.append(stage_names)
             prios = self.schedule.stage_priorities(i)
             for pos, task in enumerate(streams[i]):
                 prio = priority_base + (prios[pos] if prios is not None else pos)
                 kind, mb = task.kind, task.micro_batch
                 base, effects = emit[kind]
-                for r, key in enumerate(keys):
+                tags = {"kind": kind, "stage": i, "mb": mb}
+                row = stage_names[kind, mb] = []
+                for c, (r, key, rep) in enumerate(classes[i]):
                     name = f"{prefix}{kind}/s{i}/m{mb}/r{r}"
                     g.add(Op(
                         name,
-                        base * slows[r],
+                        base * slows[c],
                         resources=(key,),
                         priority=prio,
-                        tags={"kind": kind, "stage": i, "mb": mb},
+                        tags=tags,
                         mem_effects=[MemEffect(key, v, e) for v, e in effects],
+                        replicas=rep,
                     ))
-                    chains[r].append(name)
-            first_ops[i] = [chain[0] for chain in chains if chain]
-            for chain in chains:
-                for before, after in zip(chain, chain[1:]):
-                    g.add_dep(before, after)
+                    row.append(name)
+            rows = [stage_names[t.kind, t.micro_batch] for t in streams[i]]
+            first_ops[i] = rows[0] if rows else []
+            for c in range(len(classes[i])):
+                for before, after in zip(rows, rows[1:]):
+                    g.add_dep(before[c], after[c])
 
         # Which backward flavour each stage runs per micro-batch: the
         # grad-chain op ("B", or "BI" when split) carries the cross-stage
@@ -294,27 +343,22 @@ class PipelineExecutor:
             for i in range(plan.num_stages)
         ]
 
-        def grad_op(i: int, mb: int) -> str:
-            return "BI" if mb in split[i] else "B"
+        def grad_ops(i: int, mb: int) -> list[str]:
+            return names[i]["BI" if mb in split[i] else "B", mb]
 
-        def release_op(i: int, mb: int) -> str:
-            return "BW" if mb in split[i] else "B"
+        def release_ops(i: int, mb: int) -> list[str]:
+            return names[i]["BW" if mb in split[i] else "B", mb]
 
         # F->backward on the same stage (stored activations are the data
         # dep); split backwards add F->BI and BI->BW (BW consumes both the
         # activations and the output gradient BI received).
-        for i, stage in enumerate(plan.stages):
+        for i in range(plan.num_stages):
             for mb in range(m):
-                gk = grad_op(i, mb)
-                for r in range(stage.replicas):
-                    g.add_dep(
-                        f"{prefix}F/s{i}/m{mb}/r{r}", f"{prefix}{gk}/s{i}/m{mb}/r{r}"
-                    )
-                    if gk == "BI":
-                        g.add_dep(
-                            f"{prefix}BI/s{i}/m{mb}/r{r}",
-                            f"{prefix}BW/s{i}/m{mb}/r{r}",
-                        )
+                for f, b in zip(names[i]["F", mb], grad_ops(i, mb)):
+                    g.add_dep(f, b)
+                if mb in split[i]:
+                    for bi, bw in zip(names[i]["BI", mb], names[i]["BW", mb]):
+                        g.add_dep(bi, bw)
 
         # Cross-stage transfers.
         for i in range(plan.num_stages - 1):
@@ -322,39 +366,33 @@ class PipelineExecutor:
             nbytes = prof.boundary_bytes(src.layer_hi, mbs)
             t_fwd = transfer_time(self.cluster, nbytes, src.devices, dst.devices)
             t_bwd = transfer_time(self.cluster, nbytes, dst.devices, src.devices)
-            res_fwd = self._comm_resources(src.devices, dst.devices)
-            res_bwd = self._comm_resources(dst.devices, src.devices)
+            res_fwd = self.cluster.group_transfer_resources(src.devices, dst.devices)
+            res_bwd = self.cluster.group_transfer_resources(dst.devices, src.devices)
             for mb in range(m):
-                op = Op(
-                    f"{prefix}send/s{i}/m{mb}",
+                send = f"{prefix}send/s{i}/m{mb}"
+                g.add(Op(
+                    send,
                     t_fwd,
                     resources=res_fwd,
                     priority=priority_base + mb,
                     tags={"kind": "send", "stage": i, "mb": mb},
-                )
-                g.add(op)
-                for r in range(src.replicas):
-                    g.add_dep(f"{prefix}F/s{i}/m{mb}/r{r}", f"{prefix}send/s{i}/m{mb}")
-                for r in range(dst.replicas):
-                    g.add_dep(f"{prefix}send/s{i}/m{mb}", f"{prefix}F/s{i+1}/m{mb}/r{r}")
-                op = Op(
-                    f"{prefix}sendback/s{i}/m{mb}",
+                ))
+                for f in names[i]["F", mb]:
+                    g.add_dep(f, send)
+                for f in names[i + 1]["F", mb]:
+                    g.add_dep(send, f)
+                back = f"{prefix}sendback/s{i}/m{mb}"
+                g.add(Op(
+                    back,
                     t_bwd,
                     resources=res_bwd,
                     priority=priority_base + mb,
                     tags={"kind": "sendback", "stage": i, "mb": mb},
-                )
-                g.add(op)
-                for r in range(dst.replicas):
-                    g.add_dep(
-                        f"{prefix}{grad_op(i + 1, mb)}/s{i+1}/m{mb}/r{r}",
-                        f"{prefix}sendback/s{i}/m{mb}",
-                    )
-                for r in range(src.replicas):
-                    g.add_dep(
-                        f"{prefix}sendback/s{i}/m{mb}",
-                        f"{prefix}{grad_op(i, mb)}/s{i}/m{mb}/r{r}",
-                    )
+                ))
+                for op in grad_ops(i + 1, mb):
+                    g.add_dep(op, back)
+                for op in grad_ops(i, mb):
+                    g.add_dep(back, op)
 
         # Gradient AllReduce per replicated stage, after all its backwards
         # (for split backwards: the weight gradient exists only once BW ran).
@@ -362,34 +400,26 @@ class PipelineExecutor:
             last_rel = next(
                 t for t in reversed(streams[i]) if t.kind in ("B", "BW")
             )
-            last_backwards = [
-                f"{prefix}{last_rel.kind}/s{i}/m{last_rel.micro_batch}/r{r}"
-                for r in range(stage.replicas)
-            ]
+            last_backwards = names[i][last_rel.kind, last_rel.micro_batch]
             last_fwd_mb = max(t.micro_batch for t in streams[i] if t.kind == "F")
-            last_forward_ops[i] = [
-                f"{prefix}F/s{i}/m{last_fwd_mb}/r{r}" for r in range(stage.replicas)
-            ]
+            last_forward_ops[i] = names[i]["F", last_fwd_mb]
             if stage.replicas < 2:
                 final_ops[i] = last_backwards
                 continue
             params = prof.param_bytes(stage.layer_lo, stage.layer_hi)
             dur = allreduce_time(params, self.cluster, stage.devices)
-            op = Op(
-                f"{prefix}allreduce/s{i}",
+            ar = f"{prefix}allreduce/s{i}"
+            g.add(Op(
+                ar,
                 dur,
                 resources=(f"ar:{i}",),
                 priority=priority_base + 10**6,
                 tags={"kind": "AR", "stage": i},
-            )
-            g.add(op)
+            ))
             for mb in range(m):
-                for r in range(stage.replicas):
-                    g.add_dep(
-                        f"{prefix}{release_op(i, mb)}/s{i}/m{mb}/r{r}",
-                        f"{prefix}allreduce/s{i}",
-                    )
-            final_ops[i] = [f"{prefix}allreduce/s{i}"]
+                for op in release_ops(i, mb):
+                    g.add_dep(op, ar)
+            final_ops[i] = [ar]
         return IterationOps(
             first_ops=first_ops,
             final_ops=final_ops,

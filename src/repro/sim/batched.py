@@ -440,7 +440,9 @@ class BatchedSimulation:
                 "use view()/makespan() or re-run with record_memory=True"
             )
         trace = self.view(s)
-        memory = ColumnarMemoryTimeline(self.graph.device_keys, self._mems[s])
+        memory = ColumnarMemoryTimeline(
+            self.graph.device_keys, self._mems[s], self.graph.members
+        )
         return SimulationResult(
             makespan=trace.makespan(), trace=trace, memory=memory
         )

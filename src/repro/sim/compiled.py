@@ -59,6 +59,12 @@ class ColumnarTrace(Trace):
       reduction would not);
     * :meth:`resource_sequence` is ``by_resource`` as op ids, backing the
       critical-path walk in :mod:`repro.faults.analysis`.
+
+    A folded op (``op.replicas``, see :class:`~repro.sim.engine.Replicas`)
+    is one row of the columns and one row per replica of every
+    row-level view — ``iter_rows``, ``events``, ``find`` — in replica
+    order at the op's place in completion order.  A member device key
+    answers ``by_resource`` and ``busy_time`` from its class key's slot.
     """
 
     def __init__(self, graph, order, ends, durations=None) -> None:
@@ -124,20 +130,28 @@ class ColumnarTrace(Trace):
             m = self._seq_pos[slot] = {o: k for k, o in enumerate(seq)}
         return m
 
-    def event(self, op_id: int) -> TraceEvent:
-        """The trace row of op ``op_id``, materialized once."""
-        ev = self._event_cache.get(op_id)
+    def event(self, op_id: int, replica: int = 0) -> TraceEvent:
+        """The trace row of op ``op_id`` (of its ``replica``-th replica
+        when folded), materialized once."""
+        ev = self._event_cache.get((op_id, replica))
         if ev is None:
             op = self.graph.ops()[op_id]
-            ev = self._event_cache[op_id] = TraceEvent(
-                op.name, float(self.start_by_op[op_id]),
-                float(self.end_by_op[op_id]), op.resources, op.tags,
+            name, res = op.name, op.resources
+            if replica:
+                name, res = op.replicas.rows(op)[replica]
+            ev = self._event_cache[(op_id, replica)] = TraceEvent(
+                name, float(self.start_by_op[op_id]),
+                float(self.end_by_op[op_id]), res, op.tags,
             )
         return ev
 
     @cached_property
     def events(self) -> list[TraceEvent]:
-        return [self.event(i) for i in self.order]
+        ops = self.graph.ops()
+        return [
+            self.event(i, r) for i in self.order
+            for r in range(len(ops[i].replicas.keys) if ops[i].replicas else 1)
+        ]
 
     def add(self, event: TraceEvent) -> None:
         raise TypeError("a ColumnarTrace is read-only")
@@ -147,23 +161,38 @@ class ColumnarTrace(Trace):
         starts = self.start_by_op.tolist()
         for i, end in zip(self.order, self._ends):
             op = ops[i]
-            yield op.name, starts[i], end, op.resources, op.tags
+            if op.replicas is None:
+                yield op.name, starts[i], end, op.resources, op.tags
+            else:
+                for name, res in op.replicas.rows(op):
+                    yield name, starts[i], end, res, op.tags
 
     def find(self, name: str) -> TraceEvent:
-        op_id = self.graph.id_of.get(name)
+        op_id = self.graph.row_ids.get(name)
         if op_id is None:
             raise KeyError(f"expected exactly one event named {name!r}, got 0")
-        return self.event(op_id)
+        op = self.graph.ops()[op_id]
+        if op.name == name:
+            return self.event(op_id)
+        names = [n for n, _res in op.replicas.rows(op)]
+        return self.event(op_id, names.index(name))
+
+    def _slot(self, key) -> tuple:
+        """(resource slot or None, replica index) that answers for ``key``."""
+        key, replica = self.graph.key_class.get(key, (key, 0))
+        return self.graph.slot_of.get(key), replica
 
     def by_resource(self, key) -> list[TraceEvent]:
-        slot = self.graph.slot_of.get(key)
+        slot, replica = self._slot(key)
         if slot is None:
             return []
-        return [self.event(int(i)) for i in self.resource_sequence(slot)]
+        return [
+            self.event(int(i), replica) for i in self.resource_sequence(slot)
+        ]
 
     def busy_time(self, key) -> float:
         """``Trace.busy_time(key)``, bit-identical (0.0 for unknown keys)."""
-        slot = self.graph.slot_of.get(key)
+        slot, _replica = self._slot(key)
         if slot is None:
             return 0.0
         return float(self.busy_by_slot[slot])
@@ -179,11 +208,19 @@ class ColumnarMemoryTimeline(MemoryTimeline):
     per-device delta lists of the base class are populated lazily, on the
     first query, preserving record order (and therefore the base class's
     bit-exact sorted materialization).
+
+    ``members`` (a graph's :attr:`~repro.sim.engine.TaskGraph.members`)
+    maps each folded class key to its member devices: every member reports
+    its class key's timeline.
     """
 
-    def __init__(self, device_keys, mem_rows):
+    def __init__(self, device_keys, mem_rows, members=None):
         super().__init__()
         self._pending = (device_keys, mem_rows)
+        self._members = members or {}
+        self._class_of = {
+            k: keys[0] for keys in self._members.values() for k in keys[1:]
+        }
 
     def _thaw(self) -> None:
         if self._pending is None:
@@ -204,11 +241,14 @@ class ColumnarMemoryTimeline(MemoryTimeline):
 
     def devices(self) -> list:
         self._thaw()
-        return super().devices()
+        members = self._members
+        return sorted(
+            (m for d in self._deltas for m in members.get(d, (d,))), key=str
+        )
 
     def _materialize(self, device):
         self._thaw()
-        return super()._materialize(device)
+        return super()._materialize(self._class_of.get(device, device))
 
     def peak_all(self) -> dict:
         """Peak live bytes per device, vectorized over the packed buffer.
@@ -257,9 +297,12 @@ class ColumnarMemoryTimeline(MemoryTimeline):
         starts = np.concatenate(([0], cuts))
         stops = np.concatenate((cuts, [dev_s.size]))
         out = {}
+        members = self._members
         for a, b in zip(starts.tolist(), stops.tolist()):
             key = device_keys[int(dev_s[a])]
-            out[key] = float(np.cumsum(val_s[a:b]).max(initial=0.0))
+            peak = float(np.cumsum(val_s[a:b]).max(initial=0.0))
+            for m in members.get(key, (key,)):
+                out[m] = peak
         return dict(sorted(out.items(), key=lambda kv: str(kv[0])))
 
 
@@ -281,7 +324,7 @@ def run_compiled(graph):
         runner = _BatchRunner(graph, True, track)
         order, ends, mem_rows, _ = runner.run(graph.durations.tolist())
         trace = ColumnarTrace(graph, order, ends)
-        memory = ColumnarMemoryTimeline(graph.device_keys, mem_rows)
+        memory = ColumnarMemoryTimeline(graph.device_keys, mem_rows, graph.members)
         result = SimulationResult(
             makespan=trace.makespan(), trace=trace, memory=memory
         )

@@ -58,6 +58,30 @@ class MemEffect:
 
 
 @dataclass(frozen=True)
+class Replicas:
+    """The lock-step replicas one folded op stands for.
+
+    Replica ``r`` runs on device ``keys[r]`` and its trace row is named by
+    replacing the op name's trailing ``labels[0]`` with ``labels[r]``.  The
+    op itself is replica 0's row.  An op that holds a resource holds
+    ``keys[0]`` and charges its memory to ``keys[0]``, which then names the
+    whole class in the graph's columns (:attr:`TaskGraph.members`); an op
+    without resources charges the class keys among its ``keys``.
+    """
+
+    labels: tuple
+    keys: tuple
+
+    def rows(self, op: "Op") -> list[tuple[str, tuple]]:
+        """``(name, resources)`` of each replica's row of ``op``, in
+        replica order."""
+        stem = op.name[: len(op.name) - len(self.labels[0])]
+        if op.resources:
+            return [(stem + l, (k,)) for l, k in zip(self.labels, self.keys)]
+        return [(stem + l, ()) for l in self.labels]
+
+
+@dataclass(frozen=True)
 class Op:
     """One schedulable operation.
 
@@ -80,6 +104,9 @@ class Op:
     mem_effects:
         :class:`MemEffect` tuple applied when the op starts or ends (any
         iterable is accepted and stored as a tuple).
+    replicas:
+        For a *folded* op, the :class:`Replicas` it simulates at once;
+        traces and memory timelines expand it into one row per replica.
 
     Ops are frozen, ``mem_effects`` included: :meth:`TaskGraph.add` reads
     an op once into the graph's columns, and nothing can change the op
@@ -92,6 +119,7 @@ class Op:
     priority: float = 0.0
     tags: dict = field(default_factory=dict)
     mem_effects: tuple = ()
+    replicas: Replicas | None = None
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.duration < math.inf:
@@ -107,6 +135,20 @@ class Op:
             )
         if type(self.mem_effects) is not tuple:
             object.__setattr__(self, "mem_effects", tuple(self.mem_effects))
+        rep = self.replicas
+        if rep is not None and not (
+            len(rep.keys) == len(rep.labels) > 1
+            and self.name.endswith(rep.labels[0])
+            and resources in ((), rep.keys[:1])
+            and all(
+                e.device == rep.keys[0] if resources else e.device in rep.keys
+                for e in self.mem_effects
+            )
+        ):
+            raise ValueError(
+                f"folded op {self.name!r} must end in {rep.labels[0]!r}, hold "
+                f"nothing or {rep.keys[0]!r}, and charge only its replicas"
+            )
 
 
 class TaskGraph:
@@ -126,7 +168,10 @@ class TaskGraph:
       op) or a tuple of slots; ``resource_keys`` / ``slot_of`` intern the
       keys;
     * ``mem_start`` / ``mem_end`` — per-op ``(device slot, delta)`` tuples,
-      with ``device_keys`` interning the devices.
+      with ``device_keys`` interning the devices;
+    * ``members`` — class key → member device keys of every folded op
+      that holds a resource; ``num_rows`` counts trace rows, one per
+      replica of a folded op.
 
     :func:`repro.sim.compiled.compile_graph` seals the graph before it is
     simulated; so does the first read of a derived column (``durations``,
@@ -148,6 +193,8 @@ class TaskGraph:
         self.mem_end: list[tuple] = []
         self.device_keys: list = []
         self._device_slot_of: dict = {}
+        self.members: dict = {}
+        self.num_rows = 0
         self.sealed = False
 
     def add(self, op: Op) -> Op:
@@ -192,6 +239,19 @@ class TaskGraph:
         else:
             self.mem_start.append(())
             self.mem_end.append(())
+        rep = op.replicas
+        if rep is None:
+            self.num_rows += 1
+        elif not resources:
+            self.num_rows += len(rep.keys)
+        else:
+            keys = self.members.setdefault(rep.keys[0], rep.keys)
+            if keys != rep.keys:
+                raise ValueError(
+                    f"op {name!r} folds {rep.keys} but class {rep.keys[0]!r} "
+                    f"already folds {keys}"
+                )
+            self.num_rows += len(keys)
         return op
 
     def add_dep(self, before: str, after: str) -> None:
@@ -271,6 +331,38 @@ class TaskGraph:
             for j in succs:
                 preds[j].append(i)
         return preds
+
+    @functools.cached_property
+    def row_ids(self) -> dict[str, int]:
+        """Trace row name → id of the op that simulates it: ``id_of`` plus
+        every replica row of the folded ops (seals the graph)."""
+        self.sealed = True
+        if not self.members:
+            return self.id_of
+        out: dict[str, int] = {}
+        for i, op in enumerate(self._op_list):
+            if op.replicas is None:
+                out[op.name] = i
+            else:
+                for name, _res in op.replicas.rows(op):
+                    out[name] = i
+        return out
+
+    @functools.cached_property
+    def key_class(self) -> dict:
+        """Member device key → (class key, replica index) for every member
+        of a folded class (seals the graph)."""
+        self.sealed = True
+        return {
+            k: (keys[0], r)
+            for keys in self.members.values()
+            for r, k in enumerate(keys)
+        }
+
+    def expand_keys(self, keys) -> list:
+        """``keys`` with each class key replaced by its member keys."""
+        members = self.members
+        return [m for k in keys for m in members.get(k, (k,))]
 
     def validate_acyclic(self) -> None:
         """Raise ``ValueError`` if the dependency graph has a cycle."""
@@ -363,22 +455,24 @@ class Simulator:
 
 
 def _record_sim_metrics(graph: TaskGraph, result: SimulationResult) -> None:
-    """Publish post-run metrics (observability enabled only): event count,
-    per-resource occupancy, per-device memory peaks.  Every op of ``graph``
-    ran once, so its interned resource and device keys name the gauges;
-    their values are collect-time providers (``Gauge.set_fn``) over
-    ``trace.busy_time`` and one memoized ``memory.peak_all()``, computed at
-    first read, off the simulation's critical path."""
-    obs.counter("sim.events").inc(len(graph))
+    """Publish post-run metrics (observability enabled only): event count
+    (trace rows, one per replica of a folded op), per-resource occupancy,
+    per-device memory peaks.  Every op of ``graph`` ran once, so its
+    interned resource and device keys — each folded class key expanded to
+    its members — name the gauges; their values are collect-time providers
+    (``Gauge.set_fn``) over ``trace.busy_time`` and one memoized
+    ``memory.peak_all()``, computed at first read, off the simulation's
+    critical path."""
+    obs.counter("sim.events").inc(graph.num_rows)
     trace = result.trace
     makespan = result.makespan
     if makespan > 0:
-        for r in sorted(graph.resource_keys, key=str):
+        for r in sorted(graph.expand_keys(graph.resource_keys), key=str):
             obs.gauge("sim.occupancy", resource=str(r)).set_fn(
                 lambda r=r: trace.busy_time(r) / makespan
             )
     peaks = functools.cache(result.memory.peak_all)
-    for dev in sorted(graph.device_keys, key=str):
+    for dev in sorted(graph.expand_keys(graph.device_keys), key=str):
         obs.gauge("sim.memory_peak_bytes", device=str(dev)).set_fn(
             lambda d=dev: peaks().get(d, 0.0)
         )

@@ -53,8 +53,9 @@ class TestOraclesPass:
         prof, cluster, plan = tiny
         report = run_oracles(prof, cluster, plan, gbs=plan.global_batch_size)
         assert report.ok, report.render()
-        assert len(report.checks) == 8
+        assert len(report.checks) == 9
         assert "oracle-served-plan" in report.checks
+        assert "oracle-fold" in report.checks
 
 
 class TestOraclesCatchDivergence:

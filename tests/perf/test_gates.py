@@ -291,7 +291,10 @@ def test_serve_tracing_overhead_under_five_percent():
 def _bert48_pipeline_graph(num_micro_batches):
     """A large-M BERT-48 two-stage DAPPLE iteration graph (Config A)."""
     prof, clu, plan = _bert48_two_stage(num_micro_batches)
-    return PipelineExecutor(prof, clu, plan, enforce_memory=False).build_graph()
+    # The per-replica graph: folding would shrink it to ~1.5k ops.
+    return PipelineExecutor(
+        prof, clu, plan, enforce_memory=False
+    ).build_graph(fold=False)
 
 
 def test_simulator_bert48_before_after():

@@ -50,7 +50,10 @@ def _sim_benchmark():
         256,
         128,
     )
-    graph = PipelineExecutor(prof, cluster, plan, enforce_memory=False).build_graph()
+    # The per-replica graph (~33k ops); folding would shrink it to 772.
+    graph = PipelineExecutor(
+        prof, cluster, plan, enforce_memory=False
+    ).build_graph(fold=False)
     t0 = time.perf_counter()
     res = Simulator(graph, engine="compiled").run()
     elapsed = time.perf_counter() - t0
@@ -161,7 +164,7 @@ def test_enabled_overhead_under_twenty_percent_of_sim_benchmark():
     def run_once(enabled):
         graph = PipelineExecutor(
             prof, cluster, plan, enforce_memory=False
-        ).build_graph()
+        ).build_graph(fold=False)
         if enabled:
             obs.enable(reset_state=True)
         else:

@@ -4,6 +4,8 @@ import importlib
 
 import pytest
 
+from repro.experiments import EXPERIMENTS
+
 PACKAGES = [
     "repro",
     "repro.sim",
@@ -38,12 +40,7 @@ def test_star_import_is_clean():
     assert "plan_and_run" in ns
 
 
-@pytest.mark.parametrize(
-    "name",
-    ["table1", "table2", "table3", "table4", "table5", "table6", "table7",
-     "table8", "fig3", "fig4", "fig7", "fig8", "fig12", "fig14",
-     "convergence", "bandwidth_sweep", "straggler_sweep"],
-)
+@pytest.mark.parametrize("name", EXPERIMENTS)
 def test_experiment_modules_expose_run_and_format(name):
     mod = importlib.import_module(f"repro.experiments.{name}")
     assert callable(mod.run)
@@ -51,7 +48,5 @@ def test_experiment_modules_expose_run_and_format(name):
 
 
 def test_cli_experiment_registry_consistent():
-    from repro.experiments import EXPERIMENTS
-
     for name in EXPERIMENTS:
         importlib.import_module(f"repro.experiments.{name}")
