@@ -831,7 +831,7 @@ def verify_execution(
         enforce_memory=enforce_memory,
         sim_engine=engine,
     )
-    graph = executor.build_graph(fold=False)
+    graph = executor.build_graph(slots=None)
     result = Simulator(graph, engine=engine).run()
     kind = schedule if isinstance(schedule, str) else None
     if (

@@ -122,7 +122,7 @@ def oracle_fold(profile, cluster, plan, subject: str = "fold",
 
     Builds the iteration with one op chain per lock-step replica class (the
     graph ``execute_plan`` runs) and with one per replica
-    (``build_graph(fold=False)``), simulates both on the compiled engine,
+    (``build_graph(slots=None)``), simulates both on the compiled engine,
     and demands bit-equal makespans, trace rows in order, per-device memory
     peaks and finals, critical paths (names, ends, stage signature), stage
     bubbles, :func:`~repro.runtime.analysis.analyze` reports and Chrome
@@ -144,8 +144,8 @@ def oracle_fold(profile, cluster, plan, subject: str = "fold",
     report.ran("oracle-fold")
     executor = PipelineExecutor(profile, cluster, plan, **kwargs)
     views = []
-    for fold in (True, False):
-        graph = executor.build_graph(fold=fold)
+    for slots in (0, None):
+        graph = executor.build_graph(slots=slots)
         res = Simulator(graph).run()
         run = ExecutionResult(
             plan, res.makespan, res.trace, res.memory, executor.schedule,
@@ -185,24 +185,37 @@ def oracle_batched_ensemble(
     engine, then demands
     :meth:`~repro.faults.analysis.EnsembleReport.identical` — bit-equal
     makespans, stage bubbles, and critical-path signatures for the clean row
-    and every seed.
+    and every seed.  Two model sets run: one with compute jitter, on the
+    per-replica graph, and a jitter-free one, on a graph with victim slots.
     """
     from repro.check.reference import per_seed_ensemble
     from repro.faults.analysis import run_ensemble
-    from repro.faults.models import ComputeJitter, SlowDevice, TransientFailure
+    from repro.faults.models import (
+        ComputeJitter, DegradedLink, SlowDevice, TransientFailure,
+    )
 
     report = ConformanceReport(subject=subject)
     report.ran("oracle-batched-ensemble")
-    models = (
-        ComputeJitter(sigma=0.05),
-        SlowDevice(factor=1.5, num_devices=1),
-        TransientFailure(stall=0.2),
-    )
-    batched = run_ensemble(profile, cluster, plan, models, seeds, **kwargs)
-    per_seed = per_seed_ensemble(
-        profile, cluster, plan, models, seeds, sim_engine="compiled", **kwargs
-    )
-    if not batched.identical(per_seed):
+    model_sets = {
+        "per-replica": (
+            ComputeJitter(sigma=0.05),
+            SlowDevice(factor=1.5, num_devices=1),
+            TransientFailure(stall=0.2),
+        ),
+        "victim-slot": (
+            SlowDevice(factor=1.5, num_devices=2),
+            TransientFailure(stall=0.2),
+            DegradedLink(flaky_prob=0.5),
+        ),
+    }
+    for kind, models in model_sets.items():
+        batched = run_ensemble(profile, cluster, plan, models, seeds, **kwargs)
+        per_seed = per_seed_ensemble(
+            profile, cluster, plan, models, seeds, sim_engine="compiled",
+            **kwargs,
+        )
+        if batched.identical(per_seed):
+            continue
         detail = "report"
         if not bool((batched.makespans == per_seed.makespans).all()):
             detail = (
@@ -214,7 +227,8 @@ def oracle_batched_ensemble(
             detail = "seed outcomes"
         report.add(Violation(
             "oracle-batched-ensemble",
-            f"batched ensemble diverges from per-seed compiled path: {detail}",
+            f"batched ensemble on the {kind} graph diverges from the "
+            f"per-seed compiled path: {detail}",
         ))
     return report
 

@@ -12,15 +12,21 @@ Answers three questions about a plan under a perturbation model set:
   whose completion times gate the makespan is extracted from each perturbed
   trace and compared (as a stage signature) against the clean run's.
 
-:func:`run_ensemble` builds and compiles the plan's per-replica graph
-(``build_graph(fold=False)``: fault models draw per op, so every replica
-needs its own ops) **once**, turns the model set into an ``(S, ops)``
-duration matrix (:func:`repro.faults.models.perturb_durations`), and
-hands the whole ensemble — clean row included — to the simulator's event
-loop (:func:`repro.sim.batched.run_batched`) in a single pass.  A clean
-run and every scenario are analyzed by the same functions over the same
-:class:`~repro.sim.compiled.ColumnarTrace` columns, bit-identical to one
-simulation per seed analyzed event by event (the oracle
+:func:`run_ensemble` builds and compiles the plan's graph **once**, with
+as many single-replica *victim slots* per stage as its model set can
+touch (:func:`repro.faults.models.required_slots`; every other replica
+stays folded into its lock-step class), turns the model set into an
+``(S, ops)`` duration matrix (:func:`repro.faults.models.perturb_durations`,
+which places each seed's victims on their stage's slots), and hands the
+whole ensemble — clean row included — to the simulator's event loop
+(:func:`repro.sim.batched.run_batched`) in a single pass.  A model that
+draws per op (compute jitter, a third-party ``perturb``) gets the
+per-replica graph, the all-slots case of the same path.  A clean run and
+every scenario are analyzed by the same functions over the same
+:class:`~repro.sim.compiled.ColumnarTrace` columns; each seed's stage
+bubbles read every device's busy time from the chain that ran it, in
+device order.  The result is bit-identical to one simulation per seed on
+the per-replica graph, analyzed event by event (the oracle
 :func:`repro.check.reference.per_seed_ensemble`).
 """
 
@@ -33,7 +39,7 @@ from typing import Sequence
 import numpy as np
 
 import repro.obs as obs
-from repro.faults.models import perturb_durations
+from repro.faults.models import perturb_durations, required_slots
 from repro.sim.batched import run_batched
 from repro.sim.compiled import compile_graph
 
@@ -114,14 +120,24 @@ def stage_bubble_fractions(result) -> dict[int, float]:
     return dict(enumerate(_bubble_fractions(result.trace, result.plan)))
 
 
-def _bubble_fractions(trace, plan) -> tuple:
-    """:func:`stage_bubble_fractions` as a tuple in stage order."""
+def _bubble_fractions(trace, plan, placement=None) -> tuple:
+    """:func:`stage_bubble_fractions` as a tuple in stage order.
+
+    ``placement`` maps a device key to the key whose chain ran it (a
+    victim placed on a slot, :meth:`repro.faults.models._GraphIndex.placement`),
+    so the busy times are summed in device order as on the per-replica
+    graph.
+    """
     makespan = trace.makespan()
     if makespan <= 0:
         return tuple(0.0 for _ in range(plan.num_stages))
+    placement = placement or {}
     out = []
     for stage in plan.stages:
-        busy = [trace.busy_time(d.resource_key) for d in stage.devices]
+        busy = [
+            trace.busy_time(placement.get(d.resource_key, d.resource_key))
+            for d in stage.devices
+        ]
         out.append(1.0 - (sum(busy) / len(busy)) / makespan)
     return tuple(out)
 
@@ -293,12 +309,16 @@ def run_ensemble(
 ) -> EnsembleReport:
     """Monte-Carlo ensemble of ``plan`` under ``models`` over ``seeds``.
 
-    One batched pass: builds and compiles the plan's graph once, stacks the
-    clean duration column (skipped when the caller supplied ``clean``) on
-    top of the ``(S, ops)`` perturbation matrix, and summarizes each
-    scenario from its columnar trace.  Deduplicated scenarios (identical
-    duration rows) share one trace, and the bubble/critical-path summary is
-    memoized per trace so repeated seeds cost nothing beyond the dict hit.
+    One batched pass: builds and compiles the plan's graph once, with the
+    victim slots ``models`` need, stacks the clean duration column (skipped
+    when the caller supplied ``clean``) on top of the ``(S, ops)``
+    perturbation matrix, and summarizes each scenario from its columnar
+    trace.  Deduplicated scenarios (identical duration rows — on a slot
+    graph, every straggler seed whose victim sits in the same stage) share
+    one trace; the critical path is memoized per trace and the bubbles per
+    trace and victim placement, so repeated rows cost a dict hit.  The
+    ``faults.run_ensemble`` span records the graph's ``ops``, its trace
+    ``rows`` and the single-replica classes (``slots``) of each stage.
 
     ``clean`` short-circuits the clean baseline: callers re-scoring the same
     plan under different model sets (straggler sweeps, robust selection)
@@ -315,7 +335,7 @@ def run_ensemble(
     t_start = time.perf_counter() if track else 0.0
     with obs.span(
         "faults.run_ensemble", plan=plan.notation, seeds=len(seeds),
-    ):
+    ) as sp:
         executor = PipelineExecutor(
             profile,
             cluster,
@@ -325,8 +345,17 @@ def run_ensemble(
             recompute=recompute,
             enforce_memory=enforce_memory,
         )
-        graph = compile_graph(executor.build_graph(fold=False))
-        matrix = perturb_durations(graph, models, seeds)
+        slots = required_slots(models)
+        graph = compile_graph(executor.build_graph(slots=slots))
+        sp.set(
+            ops=len(graph), rows=graph.num_rows,
+            slots=[
+                sum(len(c) == 1 for c in executor.replica_classes(st, slots))
+                for st in plan.stages
+            ],
+        )
+        placements: list[dict] = []
+        matrix = perturb_durations(graph, models, seeds, placements)
         if clean is None:
             rows = np.vstack([graph.durations[None, :], matrix])
             offset = 1
@@ -334,26 +363,35 @@ def run_ensemble(
             rows = matrix
             offset = 0
         batch = run_batched(graph, rows, record_memory=False)
-        memo: dict[int, tuple] = {}
+        paths: dict[int, tuple] = {}
+        bubbles: dict[tuple, tuple] = {}
 
-        def outcome(s: int, seed: int) -> SeedOutcome:
+        def outcome(s: int, seed: int, placement: dict) -> SeedOutcome:
             trace = batch.view(s)
-            got = memo.get(id(trace))
-            if got is None:
-                got = memo[id(trace)] = (
-                    _bubble_fractions(trace, plan),
-                    critical_path_stages(critical_path(graph, trace)),
+            path = paths.get(id(trace))
+            if path is None:
+                path = paths[id(trace)] = critical_path_stages(
+                    critical_path(graph, trace)
+                )
+            key = (id(trace), tuple(placement.items()))
+            fractions = bubbles.get(key)
+            if fractions is None:
+                fractions = bubbles[key] = _bubble_fractions(
+                    trace, plan, placement
                 )
             return SeedOutcome(
                 seed=seed,
                 makespan=batch.makespan(s),
-                stage_bubbles=got[0],
-                critical_stages=got[1],
+                stage_bubbles=fractions,
+                critical_stages=path,
             )
 
         if clean is None:
-            clean = outcome(0, 0)
-        outcomes = [outcome(offset + j, seed) for j, seed in enumerate(seeds)]
+            clean = outcome(0, 0, {})
+        outcomes = [
+            outcome(offset + j, seed, placements[j])
+            for j, seed in enumerate(seeds)
+        ]
     report = EnsembleReport(
         plan_notation=plan.notation,
         clean=clean,

@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.faults.models import PerturbationModel, require_per_replica
+from repro.faults.models import PerturbationModel, require_slots
 from repro.sim.engine import Simulator, TaskGraph
 
 __all__ = ["perturb_graph", "rebuild_with_durations", "execute_plan_faulted", "FaultedExecution"]
@@ -72,7 +72,8 @@ def perturb_graph(
     models = list(models)
     if not models:
         return graph
-    require_per_replica(graph)
+    # The scalar models address ops by their own device keys.
+    require_slots(graph, None)
     ops = graph.ops()
     durations = list(graph.duration_list)
     children = np.random.SeedSequence(seed).spawn(len(models))
@@ -134,7 +135,7 @@ def execute_plan_faulted(
         device_slowdown=device_slowdown,
         sim_engine=sim_engine,
     )
-    graph = perturb_graph(executor.build_graph(fold=False), models, seed)
+    graph = perturb_graph(executor.build_graph(slots=None), models, seed)
     res = Simulator(graph, engine=sim_engine).run()
     result = ExecutionResult(
         plan=plan,

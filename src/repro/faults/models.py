@@ -23,6 +23,23 @@ Every model is a pure function of ``(ops, durations, rng)``:
   compiled engines see the same graph and therefore produce bit-identical
   perturbed traces (enforced by ``tests/sim/test_compiled_equivalence.py``).
 
+Victim slots
+------------
+The scalar :meth:`PerturbationModel.perturb` runs on the per-replica graph
+(``build_graph(slots=None)``).  The batched :func:`perturb_durations` also
+runs on a graph in which each stage keeps only ``k`` replicas unfolded
+(``build_graph(slots=k)``), where ``k`` is :func:`required_slots` of the
+model set: a model that only slows or stalls whole devices touches at
+most :meth:`~PerturbationModel.slots_needed` replicas per stage, and the
+rest of each stage still runs in lock-step (paper §V-B2).  Victims are
+still drawn from every replica's device key, so the rng is consumed
+exactly as on the per-replica graph; each row then places its victims on
+its stage's free slots (:meth:`_GraphIndex.place`), whose op chains equal
+the victims' op for op.  :func:`require_slots` refuses a graph without
+enough slots.  A model that draws per compute op (jitter), or that does
+not override :meth:`~PerturbationModel.slots_needed`, needs every
+replica: the per-replica graph.
+
 Four failure modes from the pipeline-parallel literature are modelled:
 per-op compute jitter (OS/clock noise), persistent slow devices (PipeDream's
 straggler motivation), degraded or flaky links, and transient device failures
@@ -45,6 +62,8 @@ __all__ = [
     "DegradedLink",
     "TransientFailure",
     "perturb_durations",
+    "required_slots",
+    "require_slots",
     "COMPUTE_KINDS",
     "COMM_KINDS",
 ]
@@ -85,7 +104,8 @@ def _comm_resource_keys(ops) -> list:
 
 
 class _GraphIndex:
-    """Graph-derived selection caches shared across seeds and models.
+    """Graph-derived selection caches shared across seeds and models, and
+    the current row's victim placement.
 
     :func:`perturb_durations` applies the same models to the same op list
     once per seed; everything that depends only on the graph — kind masks,
@@ -94,10 +114,16 @@ class _GraphIndex:
     arrays preserve submission order, so vectorized draws consume the rng
     in exactly the order the scalar :meth:`PerturbationModel.perturb` loops
     do.
+
+    On a graph with victim slots (``build_graph(slots=k)``) the candidate
+    lists still hold every replica's device key, as on the per-replica
+    graph, and :meth:`place` puts each victim a row draws on a chain of
+    its own.
     """
 
-    def __init__(self, ops):
-        self.ops = ops
+    def __init__(self, graph):
+        self.graph = graph
+        self.ops = graph.ops()
         self._kind_idx: dict = {}
         self._key_mask: dict = {}
         self._key_ops: dict = {}
@@ -106,10 +132,66 @@ class _GraphIndex:
         self._comm_keys: list | None = None
         self._comm_ids: np.ndarray | None = None
         self._comm_key_mask: dict = {}
+        #: victim slot key -> the folded class key it runs like.
+        self._slot_class = {
+            slot: cls
+            for cls, slots in graph.victim_slots.items() for slot in slots
+        }
+        self.new_row()
+
+    def new_row(self) -> None:
+        """Start a row: no victim placed yet."""
+        #: victim key -> the key whose ops simulate it in this row.
+        self.placed: dict = {}
+
+    def place(self, key):
+        """The key whose ops simulate victim ``key`` in the current row.
+
+        A key with a class of its own — an unfolded replica, a free victim
+        slot, or a key no op holds — is its own place.  A member of a
+        folded class, or a slot another victim took, takes its class's
+        next free victim slot.  So each victim of a row gets its own chain,
+        and models that draw the same victim share it.
+        """
+        got = self.placed.get(key)
+        if got is None:
+            taken = self.placed.values()
+            cls = self.graph.key_class.get(key)
+            if cls is None and key not in taken:
+                got = key
+            else:
+                base = cls[0] if cls else self._slot_class[key]
+                free = [
+                    s for s in self.graph.victim_slots.get(base, ())
+                    if s not in taken
+                ]
+                if not free:
+                    raise ValueError(
+                        f"victim {key!r} does not fit the victim slots of "
+                        f"its class: build the graph with more slots"
+                    )
+                got = free[0]
+            self.placed[key] = got
+        return got
+
+    def placement(self) -> dict:
+        """Device key -> the key whose chain ran it in the current row, for
+        every device whose own class's chain did not: a victim placed on a
+        slot, and that slot's own replica (which ran like its class)."""
+        out = {}
+        for key, got in self.placed.items():
+            if got != key:
+                out[key] = got
+                if got not in self.placed:
+                    out[got] = self._slot_class[got]
+        return out
 
     def compute_keys(self) -> list:
         if self._compute_keys is None:
-            self._compute_keys = _compute_resource_keys(self.ops)
+            self._compute_keys = sorted(
+                self.graph.expand_keys(_compute_resource_keys(self.ops)),
+                key=str,
+            )
         return self._compute_keys
 
     def comm_keys(self) -> list:
@@ -155,7 +237,8 @@ class _GraphIndex:
         m = self._key_mask.get(key)
         if m is None:
             m = np.zeros(len(self.ops), dtype=bool)
-            m[self._incidence().get(key, ())] = True
+            # An int array: indexing with an empty tuple would set every op.
+            m[np.array(self._incidence().get(key, ()), dtype=np.int64)] = True
             self._key_mask[key] = m
         return m
 
@@ -233,6 +316,16 @@ class PerturbationModel:
 
     def perturb(self, ops, durations: list[float], rng: np.random.Generator) -> list[float]:
         raise NotImplementedError
+
+    def slots_needed(self) -> int | None:
+        """How many victims per stage a row of this model sets apart from
+        their replica class: the victim slots its graph needs
+        (``build_graph(slots=k)``).  ``None``, the default, means every
+        replica — a model that draws per op needs the per-replica graph.
+        A model that returns a count must reach its victims' ops in
+        :meth:`perturb_row` through ``index.place(victim)``.
+        """
+        return None
 
     def perturb_row(self, ops, row: np.ndarray, rng: np.random.Generator,
                     index: _GraphIndex) -> np.ndarray:
@@ -341,6 +434,9 @@ class SlowDevice(PerturbationModel):
         if self.num_devices < 1 and not self.devices:
             raise ValueError("need num_devices >= 1 or explicit devices")
 
+    def slots_needed(self) -> int:
+        return len(self.devices) or self.num_devices
+
     def pick_victims(self, ops, rng) -> tuple:
         if self.devices:
             return tuple(self.devices)
@@ -368,7 +464,7 @@ class SlowDevice(PerturbationModel):
             victims = _draw_victims(index.compute_keys(), self.num_devices, rng)
         out = row.copy()
         if victims:
-            mask = index.holding_any(victims)
+            mask = index.holding_any(index.place(v) for v in victims)
             out[mask] = row[mask] * self.factor
         return out
 
@@ -399,6 +495,10 @@ class DegradedLink(PerturbationModel):
             )
         if self.flaky_prob is not None and not 0.0 <= self.flaky_prob <= 1.0:
             raise ValueError(f"flaky_prob must be in [0, 1], got {self.flaky_prob}")
+
+    def slots_needed(self) -> int:
+        # Transfers are group-level ops, alike in every graph.
+        return 0
 
     def pick_victims(self, ops, rng) -> tuple:
         if self.links:
@@ -475,6 +575,9 @@ class TransientFailure(PerturbationModel):
         if self.num_failures < 1 and not self.devices:
             raise ValueError("need num_failures >= 1 or explicit devices")
 
+    def slots_needed(self) -> int:
+        return len(self.devices) or self.num_failures
+
     def pick_victims(self, ops, rng) -> tuple:
         if self.devices:
             return tuple(self.devices)
@@ -516,7 +619,7 @@ class TransientFailure(PerturbationModel):
         if not victims or self.stall == 0.0:
             return out
         for victim in victims:
-            device_ops = index.ops_holding(victim)
+            device_ops = index.ops_holding(index.place(victim))
             if not device_ops:
                 continue
             if self.position is None:
@@ -529,42 +632,72 @@ class TransientFailure(PerturbationModel):
         return out
 
 
-def require_per_replica(graph) -> None:
-    """Refuse a folded graph: models draw per op, so a folded op would
-    perturb all its replicas alike."""
-    if graph.members:
+def required_slots(models) -> int | None:
+    """Victim slots per stage a model set needs: the sum of its models'
+    :meth:`~PerturbationModel.slots_needed`, or ``None`` (every replica)
+    when any model needs every replica."""
+    total = 0
+    for model in models:
+        k = model.slots_needed()
+        if k is None:
+            return None
+        total += k
+    return total
+
+
+def require_slots(graph, need: int | None) -> None:
+    """Refuse a graph whose victim slots cannot hold ``need`` victims of
+    each folded class (``need=None``: a graph with no folded class)."""
+    short = [
+        c for c in graph.members
+        if need is None or len(graph.victim_slots.get(c, ())) < need
+    ]
+    if short:
+        want = "the per-replica graph" if need is None else (
+            f"{need} victim slot{'s' * (need != 1)} per folded class"
+        )
         raise ValueError(
-            "fault models need the per-replica graph: build it with "
-            "build_graph(fold=False)"
+            f"the fault models need {want}, but class {short[0]!r} has "
+            f"{len(graph.victim_slots.get(short[0], ()))}: build the graph "
+            f"with build_graph(slots={need})"
         )
 
 
-def perturb_durations(graph, models, seeds) -> np.ndarray:
+def perturb_durations(graph, models, seeds, placements=None) -> np.ndarray:
     """Perturbed duration matrix: one row per seed, one column per op.
 
-    Row ``s`` is bit-identical to the duration column that
-    :func:`repro.faults.inject.perturb_graph` would bake into its rebuilt
-    graph for ``seeds[s]`` — same ``SeedSequence(seed).spawn(len(models))``
-    child-generator layout, same draw order within each model — but without
-    rebuilding ``len(seeds)`` graphs.  The batched simulation engine
+    On the per-replica graph, row ``s`` is bit-identical to the duration
+    column that :func:`repro.faults.inject.perturb_graph` would bake into
+    its rebuilt graph for ``seeds[s]`` — same
+    ``SeedSequence(seed).spawn(len(models))`` child-generator layout, same
+    draw order within each model — but without rebuilding ``len(seeds)``
+    graphs.  The batched simulation engine
     (:func:`repro.sim.batched.run_batched`) consumes this matrix directly.
 
     One :class:`_GraphIndex` is built up front and shared across all rows,
     so per-seed cost is just the random draws plus a few vectorized
     multiplies rather than repeated O(ops) python scans.
+
+    ``graph`` may fold replicas if it has the victim slots the models need
+    (:func:`required_slots`): each row then places its victims on slots,
+    and ``placements``, when given a list, receives each row's
+    :meth:`_GraphIndex.placement` — which device ran on which chain.
     """
     ops = graph.ops()
     models = list(models)
     if models:
-        require_per_replica(graph)
+        require_slots(graph, required_slots(models))
     seeds = [int(s) for s in seeds]
     base = np.array(graph.duration_list, dtype=np.float64)
     out = np.empty((len(seeds), base.size), dtype=np.float64)
     if not models or not ops:
         out[:] = base
+        if placements is not None:
+            placements.extend({} for _ in seeds)
         return out
-    index = _GraphIndex(ops)
+    index = _GraphIndex(graph)
     for s, seed in enumerate(seeds):
+        index.new_row()
         row = base
         children = np.random.SeedSequence(seed).spawn(len(models))
         for model, child in zip(models, children):
@@ -577,4 +710,6 @@ def perturb_durations(graph, models, seeds) -> np.ndarray:
                     f"{row.shape[0]} durations for {len(ops)} ops"
                 )
         out[s] = row
+        if placements is not None:
+            placements.append(index.placement())
     return out

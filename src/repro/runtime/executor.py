@@ -187,46 +187,55 @@ class PipelineExecutor:
     # ------------------------------------------------------------------ #
     # Graph construction
     # ------------------------------------------------------------------ #
-    def _replica_classes(self, stage, fold: bool) -> list[list[int]]:
+    def replica_classes(self, stage, slots: int | None) -> list[list[int]]:
         """``stage``'s replica indices grouped into lock-step classes.
 
         Each micro-batch is sliced evenly over the replicas (paper §V-B2),
         so replicas with the same slowdown factor run bit-for-bit alike and
-        one op chain can simulate them all.  Classes are ordered by their
-        lowest replica index, which names the class.  ``fold=False`` keeps
-        one class per replica.
+        one op chain can simulate them all.  Replicas ``1..slots`` keep a
+        class of their own: the *victim slots* a fault ensemble maps each
+        seed's victims onto (:mod:`repro.faults.models`).  ``slots=None``
+        keeps every replica in its own class, and so do interleaved plans,
+        whose devices host several stages.  Classes are ordered by their
+        lowest replica index, which names the class.
         """
-        if not fold:
+        if slots is None or self.plan.meta.get("interleaved"):
             return [[r] for r in range(stage.replicas)]
-        classes: dict[float, list[int]] = {}
+        classes: dict[tuple, list[int]] = {}
         for r, d in enumerate(stage.devices):
-            classes.setdefault(self.device_slowdown.get(d.global_id, 1.0), []).append(r)
+            if 1 <= r <= slots:
+                key = ("slot", r)
+            else:
+                key = ("factor", self.device_slowdown.get(d.global_id, 1.0))
+            classes.setdefault(key, []).append(r)
         return sorted(classes.values())
 
-    def build_graph(self, fold: bool = True) -> TaskGraph:
+    def build_graph(self, slots: int | None = 0) -> TaskGraph:
         """Compile one training iteration into a fresh task graph.
 
-        ``fold=False`` emits one op chain per replica instead of one per
-        lock-step replica class — the graph the fault models (which draw
-        per op) and the conformance checks run on.
+        ``slots`` victim slots per stage (:meth:`replica_classes`) stay
+        unfolded; the default folds every class of lock-step replicas.
+        ``slots=None`` emits one op chain per replica — the graph the
+        conformance checks and the per-op fault models run on.
         """
         g = TaskGraph()
         with obs.span("runtime.build_graph", plan=self.plan.notation) as sp:
-            self.build_into(g, fold=fold)
+            self.build_into(g, slots=slots)
             sp.set(ops=len(g), rows=g.num_rows)
         return g
 
     def build_into(
         self, g: TaskGraph, prefix: str = "", include_init: bool = True,
-        priority_base: float = 0.0, fold: bool = True,
+        priority_base: float = 0.0, slots: int | None = 0,
     ) -> "IterationOps":
         """Emit one iteration's ops into ``g`` with names under ``prefix``.
 
         Each stage emits one op chain per replica class
-        (:meth:`_replica_classes`), named after the class's lowest replica
+        (:meth:`replica_classes`), named after the class's lowest replica
         and carrying the class as its :class:`~repro.sim.engine.Replicas`,
-        and one init op whose rows cover every replica.  Interleaved plans
-        (whose devices host several stages) are not folded.  Returns the
+        and one init op whose rows cover every replica.  Each folded
+        class's victim slots — the single-replica classes of its stage
+        with its slowdown factor — go to ``g.victim_slots``.  Returns the
         per-stage first/last op names so callers can chain multiple
         iterations (see :mod:`repro.runtime.steady_state`).
         """
@@ -239,17 +248,24 @@ class PipelineExecutor:
         final_ops: dict[int, list[str]] = {}
         last_forward_ops: dict[int, list[str]] = {}
 
-        fold = fold and not plan.meta.get("interleaved")
         # Per stage and class: the class's lowest replica, its device key,
-        # and the Replicas its ops carry (None for a one-replica class).
+        # the Replicas its ops carry (None for a one-replica class) and its
+        # slowdown factor.
         classes = []
         for stage in plan.stages:
             rows = []
-            for cls in self._replica_classes(stage, fold):
+            for cls in self.replica_classes(stage, slots):
                 keys = tuple(stage.devices[r].resource_key for r in cls)
                 rep = Replicas(tuple(f"r{r}" for r in cls), keys) if cls[1:] else None
-                rows.append((cls[0], keys[0], rep))
+                slow = self.device_slowdown.get(stage.devices[cls[0]].global_id, 1.0)
+                rows.append((cls[0], keys[0], rep, slow))
             classes.append(rows)
+            # A folded class's victim slots run at its own factor.
+            for _r, key, rep, slow in rows:
+                if rep is not None:
+                    free = tuple(k for _q, k, p, f in rows if p is None and f == slow)
+                    if free:
+                        g.victim_slots[key] = free
 
         # Persistent memory (weights, optimizer states, grad buffers).  A
         # folded stage initializes all its replicas in one op, in device
@@ -258,11 +274,12 @@ class PipelineExecutor:
             for i, stage in enumerate(plan.stages):
                 persistent = self.stage_mem[i].persistent_bytes
                 keys = tuple(d.resource_key for d in stage.devices)
-                if fold and keys[1:]:
+                if any(rep for _r, _key, rep, _slow in classes[i]):
                     g.add(Op(
                         f"{prefix}init/s{i}/{keys[0]}", 0.0, priority=-1e9,
                         mem_effects=[
-                            MemEffect(key, persistent) for _r, key, _rep in classes[i]
+                            MemEffect(key, persistent)
+                            for _r, key, _rep, _slow in classes[i]
                         ],
                         replicas=Replicas(keys, keys),
                     ))
@@ -303,10 +320,6 @@ class PipelineExecutor:
                 "BI": (bwd * (1.0 - w_frac) + extra, remat),
                 "BW": (bwd * w_frac, ((-resident, True),)),
             }
-            slows = [
-                self.device_slowdown.get(stage.devices[r].global_id, 1.0)
-                for r, _key, _rep in classes[i]
-            ]
             stage_names: dict = {}
             names.append(stage_names)
             prios = self.schedule.stage_priorities(i)
@@ -316,11 +329,11 @@ class PipelineExecutor:
                 base, effects = emit[kind]
                 tags = {"kind": kind, "stage": i, "mb": mb}
                 row = stage_names[kind, mb] = []
-                for c, (r, key, rep) in enumerate(classes[i]):
+                for r, key, rep, slow in classes[i]:
                     name = f"{prefix}{kind}/s{i}/m{mb}/r{r}"
                     g.add(Op(
                         name,
-                        base * slows[c],
+                        base * slow,
                         resources=(key,),
                         priority=prio,
                         tags=tags,

@@ -171,7 +171,11 @@ class TaskGraph:
       with ``device_keys`` interning the devices;
     * ``members`` — class key → member device keys of every folded op
       that holds a resource; ``num_rows`` counts trace rows, one per
-      replica of a folded op.
+      replica of a folded op;
+    * ``victim_slots`` — class key → the keys of the single-replica
+      classes that run like that class, on which the fault layer places a
+      seed's victims (filled by the executor; see
+      :mod:`repro.faults.models`).
 
     :func:`repro.sim.compiled.compile_graph` seals the graph before it is
     simulated; so does the first read of a derived column (``durations``,
@@ -194,6 +198,7 @@ class TaskGraph:
         self.device_keys: list = []
         self._device_slot_of: dict = {}
         self.members: dict = {}
+        self.victim_slots: dict = {}
         self.num_rows = 0
         self.sealed = False
 

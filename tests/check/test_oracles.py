@@ -2,6 +2,7 @@
 
 import repro.check.reference as reference
 from repro.check import (
+    oracle_batched_ensemble,
     oracle_clean_faults,
     oracle_engines,
     oracle_explain,
@@ -74,3 +75,34 @@ class TestOraclesCatchDivergence:
         report = oracle_engines(graph)
         assert not report.ok
         assert all(v.invariant == "oracle-engines" for v in report.violations)
+
+
+def _wide():
+    """Six replicas in stage 0: room for the oracle's three victim slots."""
+    from repro.cluster.configs import config_by_name
+    from repro.core.plan import ParallelPlan, Stage
+    from repro.core.profiler import profile_model
+    from repro.models.graph import uniform_model
+
+    model = uniform_model("wide-check", 4, 1e9, 100_000, 1e6)
+    cluster = config_by_name("B", num_devices=8)
+    d = cluster.devices
+    plan = ParallelPlan(model, [Stage(0, 2, tuple(d[:6])), Stage(2, 4, tuple(d[6:]))],
+                        global_batch_size=24, num_micro_batches=4)
+    return profile_model(model), cluster, plan
+
+
+class TestBatchedEnsembleOracle:
+    def test_victim_slot_graph_passes(self):
+        report = oracle_batched_ensemble(*_wide())
+        assert report.ok, report.render()
+
+    def test_unplaced_victims_are_caught(self, monkeypatch):
+        # A victim left in its folded class slows either the whole class
+        # (the class's own key) or nothing (any other member's key).
+        import repro.faults.models as models
+
+        monkeypatch.setattr(models._GraphIndex, "place", lambda self, key: key)
+        report = oracle_batched_ensemble(*_wide())
+        assert not report.ok
+        assert "victim-slot graph" in report.violations[0].message

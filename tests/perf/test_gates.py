@@ -294,7 +294,7 @@ def _bert48_pipeline_graph(num_micro_batches):
     # The per-replica graph: folding would shrink it to ~1.5k ops.
     return PipelineExecutor(
         prof, clu, plan, enforce_memory=False
-    ).build_graph(fold=False)
+    ).build_graph(slots=None)
 
 
 def test_simulator_bert48_before_after():

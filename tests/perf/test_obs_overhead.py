@@ -53,7 +53,7 @@ def _sim_benchmark():
     # The per-replica graph (~33k ops); folding would shrink it to 772.
     graph = PipelineExecutor(
         prof, cluster, plan, enforce_memory=False
-    ).build_graph(fold=False)
+    ).build_graph(slots=None)
     t0 = time.perf_counter()
     res = Simulator(graph, engine="compiled").run()
     elapsed = time.perf_counter() - t0
@@ -164,7 +164,7 @@ def test_enabled_overhead_under_twenty_percent_of_sim_benchmark():
     def run_once(enabled):
         graph = PipelineExecutor(
             prof, cluster, plan, enforce_memory=False
-        ).build_graph(fold=False)
+        ).build_graph(slots=None)
         if enabled:
             obs.enable(reset_state=True)
         else:

@@ -35,7 +35,7 @@ def test_bert48_large_m_simulation_under_cap():
     # The per-replica graph (~33k ops); folding would shrink it to 772.
     graph = PipelineExecutor(
         prof, cluster, plan, enforce_memory=False
-    ).build_graph(fold=False)
+    ).build_graph(slots=None)
     t0 = time.perf_counter()
     res = Simulator(graph, engine="compiled").run()
     elapsed = time.perf_counter() - t0

@@ -76,7 +76,7 @@ def test_folded_graph_size_does_not_grow_with_replicas(name, schedule, limit):
                           enforce_memory=False)
     folded = ex.build_graph()
     assert len(folded) <= limit
-    assert folded.num_rows == len(ex.build_graph(fold=False))
+    assert folded.num_rows == len(ex.build_graph(slots=None))
 
 
 def test_unreplicated_pipeline_is_unchanged():
@@ -100,7 +100,7 @@ def small():
     ex = PipelineExecutor(profile_model(model), cluster, plan,
                           device_slowdown={1: 1.25})
     folded = Simulator(ex.build_graph()).run()
-    per_replica = Simulator(ex.build_graph(fold=False)).run()
+    per_replica = Simulator(ex.build_graph(slots=None)).run()
     return ex, folded, per_replica
 
 
@@ -177,7 +177,7 @@ def test_interleaved_plans_are_not_folded():
     ex = PipelineExecutor(profile_model(model), cluster, plan,
                           schedule="interleaved:v=2")
     graph = ex.build_graph()
-    assert len(graph) == graph.num_rows == len(ex.build_graph(fold=False))
+    assert len(graph) == graph.num_rows == len(ex.build_graph(slots=None))
 
 
 def test_group_transfer_resources_match_the_pairwise_keys():
@@ -202,6 +202,12 @@ def test_fault_models_refuse_a_folded_graph(small):
     assert perturb_graph(folded, (), 0) is folded
     with pytest.raises(ValueError, match="per-replica"):
         perturb_graph(folded, (SlowDevice(factor=2.0),), 0)
-    with pytest.raises(ValueError, match="per-replica"):
+    with pytest.raises(ValueError, match="1 victim slot"):
         perturb_durations(folded, (SlowDevice(factor=2.0),), [0])
-    perturb_durations(ex.build_graph(fold=False), (SlowDevice(factor=2.0),), [0])
+    # Device 1 runs slower than the rest of its stage, so it is no slot.
+    with pytest.raises(ValueError, match="1 victim slot"):
+        perturb_durations(ex.build_graph(slots=1), (SlowDevice(factor=2.0),), [0])
+    with pytest.raises(ValueError, match="2 victim slots"):
+        perturb_durations(ex.build_graph(slots=2), (SlowDevice(num_devices=2),), [0])
+    perturb_durations(ex.build_graph(slots=2), (SlowDevice(factor=2.0),), [0])
+    perturb_durations(ex.build_graph(slots=None), (SlowDevice(factor=2.0),), [0])
